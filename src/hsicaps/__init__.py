@@ -5,7 +5,7 @@ Library layout:
 * ``data`` — cube/label IO, normalization, band slices, patches, splits
 * ``spectral`` — per-slice feature nets and the index enhancement
 * ``capsule`` — 2-D convolution, squash, dynamic routing
-* ``model`` — network assembly and batched forward
+* ``model`` — ordered parameter registry and batched forward
 * ``training`` — losses, Adam, training loop, checkpoints, gradcheck
 * ``evaluation`` — accuracy/kappa/McNemar, entropy, Dunn, reflectance indices
 * ``synthetic`` — seeded desk-scale scene generator

@@ -3,104 +3,16 @@
 A batch of enhanced feature maps passes through a relu 2-D convolution,
 a bank of linear convolutional capsules whose channel groups form pose
 vectors (squashed so lengths live in [0, 1)), and a class-capsule layer
-whose coupling coefficients are refined by agreement routing.
+whose coupling coefficients are refined by agreement routing. Every
+routine is batched over a leading sample axis and takes its weights as
+arguments (plain arrays or autodiff tensors); the model passes them in
+from its parameter registry.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, NumericError
-
-
-@dataclass
-class Conv2dLayer:
-    """Valid 2-D cross-correlation: weights (filters, k, k, in_channels)."""
-
-    weights: object
-    bias: object
-    stride: int = 1
-    activation: str = "relu"
-
-    def __post_init__(self):
-        w = ad.value(self.weights)
-        if w.ndim != 4 or w.shape[1] != w.shape[2]:
-            raise DataError("conv2d weights must have shape (filters, k, k, channels)")
-        if w.shape[1] % 2 == 0:
-            raise DataError("conv2d kernel size must be odd")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(ad.value(self.bias)))):
-            raise NumericError("non-finite conv2d parameters")
-
-    @property
-    def kernel(self):
-        return ad.value(self.weights).shape[1]
-
-    def detached(self):
-        return Conv2dLayer(ad.value(self.weights), ad.value(self.bias),
-                           self.stride, self.activation)
-
-
-@dataclass
-class PrimaryCapsuleLayer:
-    """Z capsules of K linear conv neurons each; kernels (Z*K, k, k, C)."""
-
-    count: int
-    dim: int
-    kernels: object
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.count < 2 or self.dim < 2:
-            raise DataError("need at least 2 capsules of dimension >= 2")
-        w = ad.value(self.kernels)
-        if w.ndim != 4 or w.shape[0] != self.count * self.dim:
-            raise DataError("capsule kernels must have shape (count*dim, k, k, channels)")
-
-    @property
-    def kernel(self):
-        return ad.value(self.kernels).shape[1]
-
-    def detached(self):
-        return PrimaryCapsuleLayer(self.count, self.dim, ad.value(self.kernels), self.stride)
-
-
-@dataclass
-class ClassCapsuleLayer:
-    """Per (pose m, class n) transformation matrices plus class biases."""
-
-    weights: object  # (M, n_class, D, K)
-    biases: object  # (n_class, D)
-    n_class: int
-    d_class: int
-
-    def __post_init__(self):
-        w, b = ad.value(self.weights), ad.value(self.biases)
-        if w.ndim != 4 or w.shape[1] != self.n_class or w.shape[2] != self.d_class:
-            raise DataError("class-capsule weight shapes inconsistent")
-        if b.shape != (self.n_class, self.d_class):
-            raise DataError("class-capsule bias shapes inconsistent")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise NumericError("non-finite class-capsule parameters")
-
-    def detached(self):
-        return ClassCapsuleLayer(ad.value(self.weights), ad.value(self.biases),
-                                 self.n_class, self.d_class)
-
-
-@dataclass
-class RoutingState:
-    """Final logits/coefficients/sums/activities of one routing pass."""
-
-    b: np.ndarray
-    c: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    iterations: int
-    coupling_history: list = field(default_factory=list)
-
-
-# forward routines -----------------------------------------------------
+from .errors import DataError
 
 
 def conv2d_batch(x, weights, bias, stride, activation):
@@ -122,15 +34,6 @@ def conv2d_batch(x, weights, bias, stride, activation):
     return out
 
 
-def conv2d_forward(feature_map, layer: Conv2dLayer):
-    """Single feature map (H, W, C) -> (H1, W1, filters)."""
-    fm = feature_map if isinstance(feature_map, ad.Tensor) else np.asarray(feature_map, dtype=np.float64)
-    H, W, C = ad.shape_of(fm)
-    out = conv2d_batch(ad.reshape(fm, (1, H, W, C)), layer.weights, layer.bias,
-                       layer.stride, layer.activation)
-    return ad.reshape(out, ad.shape_of(out)[1:])
-
-
 def squash(u, axis=-1):
     """Norm-compressing nonlinearity: maps norm r to r^2/(1+r^2).
 
@@ -141,41 +44,38 @@ def squash(u, axis=-1):
     return ad.mul(ad.div(u, n), ad.div(s, ad.add(s, 1.0)))
 
 
-def primary_capsules(o, layer: PrimaryCapsuleLayer):
-    """Pose vectors from a conv activation map: (H, W, C) -> (M, dim).
+def primary_capsules_batch(x, kernels, count: int, stride: int = 1):
+    """(N, H, W, C) -> (N, M, dim) squashed pose vectors.
 
-    All ``count`` capsules run their ``dim`` linear conv neurons over the
-    map; pose m enumerates (capsule, row, col) in C order. Every pose is
-    squashed independently.
+    ``count`` capsules of ``dim = kernels.shape[0] // count`` linear conv
+    neurons each run over the map; pose m enumerates (capsule, row, col)
+    in C order and every pose is squashed independently.
     """
-    fm = o if isinstance(o, ad.Tensor) else np.asarray(o, dtype=np.float64)
-    H, W, C = ad.shape_of(fm)
-    out = primary_capsules_batch(ad.reshape(fm, (1, H, W, C)), layer)
-    return ad.reshape(out, ad.shape_of(out)[1:])
-
-
-def primary_capsules_batch(x, layer: PrimaryCapsuleLayer):
-    """(N, H, W, C) -> (N, M, dim) squashed pose vectors."""
-    raw = conv2d_batch(x, layer.kernels, None, layer.stride, "identity")
+    dim = ad.value(kernels).shape[0] // count
+    raw = conv2d_batch(x, kernels, None, stride, "identity")
     N, H2, W2, _ = ad.shape_of(raw)
-    poses = ad.reshape(raw, (N, H2, W2, layer.count, layer.dim))
+    poses = ad.reshape(raw, (N, H2, W2, count, dim))
     poses = ad.transpose(poses, (0, 3, 1, 2, 4))
-    poses = ad.reshape(poses, (N, layer.count * H2 * W2, layer.dim))
+    poses = ad.reshape(poses, (N, count * H2 * W2, dim))
     return squash(poses, axis=-1)
 
 
-def predict_vectors(poses, layer: ClassCapsuleLayer):
-    """Per-class predictions of every pose: (..., M, K) -> (..., M, n, D)."""
+def predict_vectors(poses, weights, biases):
+    """Per-class predictions of every pose: (..., M, K) -> (..., M, n, D).
+
+    ``weights`` (M, n_class, D, K) hold one transformation matrix per
+    (pose, class) pair; ``biases`` (n_class, D) are shared over poses.
+    """
     shape = ad.shape_of(poses)
     M, K = shape[-2], shape[-1]
-    wv = ad.value(layer.weights)
+    wv = ad.value(weights)
     if wv.shape[0] != M or wv.shape[3] != K:
         raise DataError(
             f"pose set ({M} vectors of dim {K}) incompatible with weights {wv.shape}"
         )
     u = ad.reshape(poses, tuple(shape[:-1]) + (1, 1, K))
-    u_hat = ad.sum(ad.mul(u, layer.weights), axis=-1)
-    return ad.add(u_hat, layer.biases)
+    u_hat = ad.sum(ad.mul(u, weights), axis=-1)
+    return ad.add(u_hat, biases)
 
 
 def dynamic_routing(u_hat, iterations: int):
@@ -198,95 +98,3 @@ def dynamic_routing(u_hat, iterations: int):
         history.append((c, s, v))
         b = ad.add(b, ad.sum(ad.mul(u_hat, ad.expand_dims(v, -3)), axis=-1))
     return v, b, history
-
-
-def route(u_hat, iterations: int = 3) -> RoutingState:
-    """Routing pass over plain predictions (M, n_class, D)."""
-    uh = np.asarray(ad.value(u_hat) if isinstance(u_hat, ad.Tensor) else u_hat,
-                    dtype=np.float64)
-    if uh.ndim != 3:
-        raise DataError("route expects predictions of shape (M, n_class, D)")
-    v, b, history = dynamic_routing(uh, iterations)
-    for it, (c, s, vv) in enumerate(history, 1):
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s)) and np.all(np.isfinite(vv))):
-            raise NumericError(f"non-finite routing state at iteration {it}")
-    c_last, s_last, v_last = history[-1]
-    return RoutingState(
-        b=np.asarray(b),
-        c=np.asarray(c_last),
-        s=np.asarray(s_last),
-        v=np.asarray(v_last),
-        iterations=iterations,
-        coupling_history=[np.asarray(c) for c, _, _ in history],
-    )
-
-
-def class_probabilities(state: RoutingState) -> np.ndarray:
-    """Per-class activity lengths, each in [0, 1)."""
-    return np.asarray(ad.norm(state.v, axis=-1))
-
-
-def predict_class(lengths) -> int:
-    """1-based argmax class; ties resolve to the lowest id."""
-    return int(np.argmax(np.asarray(lengths))) + 1
-
-
-# initialization -------------------------------------------------------
-
-
-@dataclass
-class CapsuleParams:
-    """Stage-2 parameter bundle."""
-
-    conv: Conv2dLayer
-    primary: PrimaryCapsuleLayer
-    classcaps: ClassCapsuleLayer
-    routing_iterations: int = 3
-
-    def detached(self):
-        return CapsuleParams(
-            self.conv.detached(),
-            self.primary.detached(),
-            self.classcaps.detached(),
-            self.routing_iterations,
-        )
-
-
-def init_capsule_params(patch_size: int, in_features: int, n_class: int, cfg, rng) -> CapsuleParams:
-    """Seeded Stage-2 construction for a given patch size and F_N."""
-    k1, k2 = cfg.conv_kernel, cfg.capsule_kernel
-    h1 = (patch_size - k1) // cfg.conv_stride + 1
-    if h1 < k2:
-        raise DataError(
-            f"patch size {patch_size} too small for kernels {k1} then {k2}"
-        )
-    h2 = (h1 - k2) // cfg.capsule_stride + 1
-    conv = Conv2dLayer(
-        ad.parameter(
-            ad.glorot_uniform(rng, (cfg.conv_filters, k1, k1, in_features),
-                    k1 * k1 * in_features, cfg.conv_filters)
-        ),
-        ad.parameter(np.zeros(cfg.conv_filters)),
-        cfg.conv_stride,
-    )
-    primary = PrimaryCapsuleLayer(
-        cfg.capsules,
-        cfg.capsule_dim,
-        ad.parameter(
-            ad.glorot_uniform(rng, (cfg.capsules * cfg.capsule_dim, k2, k2, cfg.conv_filters),
-                    k2 * k2 * cfg.conv_filters, cfg.capsules * cfg.capsule_dim)
-        ),
-        cfg.capsule_stride,
-    )
-    m_total = cfg.capsules * h2 * h2
-    d_class = cfg.class_capsule_dim or cfg.capsules
-    classcaps = ClassCapsuleLayer(
-        ad.parameter(
-            ad.glorot_uniform(rng, (m_total, n_class, d_class, cfg.capsule_dim),
-                    cfg.capsule_dim, d_class)
-        ),
-        ad.parameter(np.zeros((n_class, d_class))),
-        n_class,
-        d_class,
-    )
-    return CapsuleParams(conv, primary, classcaps, cfg.routing_iterations)

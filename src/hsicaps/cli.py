@@ -214,21 +214,22 @@ def _read_references(path, coords):
 
 
 def _cmd_interpret(args) -> int:
-    mdl, _cfg, manifest = training.load_checkpoint(args.checkpoint)
+    mdl, cfg, manifest = training.load_checkpoint(args.checkpoint)
     cube, labels = _load_dataset(args.cube, args.labels)
     training.check_cube_compatible(manifest, cube)
     coords = [tuple(int(v) for v in rc) for rc in np.argwhere(labels.labels > 0)]
     if not coords:
         raise DataError("no labeled pixels to interpret")
+    detached = mdl.detached()
     norm_cube = data.normalize_cube(cube)
     labs = np.array([labels.labels[r, c] for r, c in coords])
 
     # Pixel-level enhanced features (no spatial context needed).
     spectra = np.array([norm_cube.data[r, c, :] for r, c in coords], dtype=np.float64)
-    sp = mdl.spectral.detached()
-    feats = np.asarray(spectral.enhanced_features(
-        np.asarray(spectral.base_features(spectra, sp)), sp))
-    names = spectral.feature_names(sp)
+    x1 = np.asarray(spectral.base_features(spectra, detached))
+    feats = np.asarray(spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
+                                                  cfg.training.enhancement_on))
+    names = spectral.feature_names(x1.shape[1], mdl.tri_combos, cfg.training.enhancement_on)
 
     entropy_per_class = {
         int(cls): evaluation.shannon_entropy(feats[labs == cls])
@@ -282,7 +283,6 @@ def _cmd_interpret(args) -> int:
 
     # Capsule-level exports need full patch forwards.
     patches = data.extract_patch_batch(norm_cube, coords, mdl.patch_size)
-    detached = mdl.detached()
     poses_rows, length_rows, act_rows = [], [], []
     for lo in range(0, len(coords), 64):
         out = model_mod.forward(detached, patches[lo : lo + 64])
@@ -308,7 +308,7 @@ def _cmd_interpret(args) -> int:
             flat = mat.reshape(-1)
             fh.write(f"{r},{c},{lab}," + ",".join(repr(float(v)) for v in flat) + "\n")
 
-    kernels = np.asarray(detached.caps.conv.weights)
+    kernels = detached.params["caps.conv.w"]
     with open(os.path.join(out_dir, "conv_kernels.csv"), "w", encoding="utf-8") as fh:
         fh.write("filter,ki,kj,channel,value\n")
         J, k, _, C = kernels.shape

@@ -5,8 +5,8 @@ Cube container format: a UTF-8 JSON header
 wavelengths_nm:[...], data_file:"<relative path>"}`` next to a raw file
 of little-endian float32, band-interleaved-by-pixel, row-major.
 
-All types are immutable after construction (arrays are write-locked) and
-every operation is a pure function.
+Cubes, label maps, slice sets and splits are frozen after construction
+(their arrays are write-locked) and every operation is a pure function.
 """
 
 import json
@@ -127,21 +127,6 @@ def default_band_slices() -> BandSliceSet:
 def whole_spectrum_slices() -> BandSliceSet:
     """Single slice covering every band (segmentation disabled)."""
     return BandSliceSet((("full", -math.inf, math.inf),))
-
-
-@dataclass(frozen=True)
-class Patch:
-    """Square window of the cube centered on one pixel."""
-
-    center: tuple
-    size: int
-    data: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if self.size % 2 == 0:
-            raise DataError("patch size must be odd")
-        _freeze(self.data)
 
 
 @dataclass(frozen=True)
@@ -286,27 +271,19 @@ def segment_bands(cube: HsiCube, spec: BandSliceSet = None) -> BandSliceSet:
     return BandSliceSet(spec.slices, tuple(assigned))
 
 
-def extract_patch(cube: HsiCube, labels: LabelMap, center, size: int) -> Patch:
-    """Window centered on ``center``; borders are mirror-reflected."""
-    r, c = center
-    if size % 2 == 0:
-        raise DataError(f"patch size must be odd, got {size}")
-    if not (0 <= r < cube.height and 0 <= c < cube.width):
-        raise DataError(f"patch center {center} outside image")
-    pad = size // 2
-    padded = np.pad(cube.data, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
-    window = padded[r : r + size, c : c + size, :].copy()
-    return Patch((r, c), size, window, int(labels.labels[r, c]))
-
-
 def extract_patch_batch(cube: HsiCube, coords, size: int) -> np.ndarray:
-    """Stack of mirror-padded windows for many centers, shape (N,s,s,B)."""
+    """Stack of windows centered on ``coords``, shape (N, s, s, B).
+
+    Borders are mirror-reflected; every center must lie in the image.
+    """
     if size % 2 == 0:
         raise DataError(f"patch size must be odd, got {size}")
     pad = size // 2
     padded = np.pad(cube.data, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
     out = np.empty((len(coords), size, size, cube.bands), dtype=np.float64)
     for i, (r, c) in enumerate(coords):
+        if not (0 <= r < cube.height and 0 <= c < cube.width):
+            raise DataError(f"patch center ({r}, {c}) outside image")
         out[i] = padded[r : r + size, c : c + size, :]
     return out
 

@@ -1,90 +1,122 @@
-"""Full network assembly: parameter construction, registry and forward.
+"""Full network assembly: the parameter registry and the batched forward.
 
-The forward pass maps a batch of patches to class-capsule activities:
-per-pixel slice features -> index enhancement -> spatial convolution ->
-primary capsules -> routed class capsules. With tracked parameters the
-same code builds the training graph; with detached parameters it runs as
-plain numpy.
+All parameters live in one ordered ``dict[name, array | Tensor]``. Its
+insertion order, written down once in ``param_spec``, is both the rng
+draw order at init and the checkpoint order. The forward pass maps a
+batch of patches to class-capsule activities: per-pixel slice features
+-> index enhancement -> spatial convolution -> primary capsules ->
+routed class capsules. With tracked parameters the same code builds the
+training graph; with detached parameters it runs as plain numpy.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import capsule, spectral
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
-@dataclass
-class Decoder:
-    """Two dense layers reconstructing a one-hot class vector from the
-    masked class-capsule activities."""
+def param_spec(slices, n_class: int, config, tri_cap: int = None) -> list:
+    """Ordered (name, shape, fan_in, fan_out) of every parameter.
 
-    fc1: spectral.DenseLayer
-    fc2: spectral.DenseLayer
+    ``slices`` must already be segmented; slices holding fewer bands than
+    the two valid convolutions need get the dense fallback head.
+    ``tri_cap`` is the number of kept triangular features (None keeps
+    every triple). Biases carry no fans.
+    """
+    s1, s2, tcfg = config.stage1, config.stage2, config.training
+    spec = []
 
-    def detached(self):
-        return Decoder(self.fc1.detached(), self.fc2.detached())
+    def add(name, shape, fan_in, fan_out, bias=True):
+        spec.append((f"{name}.w", shape, fan_in, fan_out))
+        if bias:
+            spec.append((f"{name}.b", shape[:1] if bias is True else bias, None, None))
+
+    heads = slices.non_empty()
+    for i, (_, bands) in enumerate(heads):
+        pre, L = f"spectral.{i}", len(bands)
+        if L < max(spectral.MIN_CONV_BANDS, s1.conv1_width + s1.conv2_width):
+            add(f"{pre}.dense", (s1.small_slice_width, L), L, s1.small_slice_width)
+            width = s1.small_slice_width
+        else:
+            add(f"{pre}.conv1", (s1.conv1_filters, 1, s1.conv1_width),
+                s1.conv1_width, s1.conv1_filters)
+            add(f"{pre}.conv2", (s1.conv2_filters, s1.conv1_filters, s1.conv2_width),
+                s1.conv2_width * s1.conv1_filters, s1.conv2_filters)
+            l1 = (L - s1.conv1_width) // s1.stride + 1
+            width = ((l1 - s1.conv2_width) // s1.stride + 1) * s1.conv2_filters
+        add(f"{pre}.fc1", (s1.fc1_width, width), width, s1.fc1_width)
+        add(f"{pre}.fc2", (n_class, s1.fc1_width), s1.fc1_width, n_class)
+    if not heads:
+        raise DataError("no band overlaps slice specification")
+
+    f_n = len(heads) * n_class
+    if tcfg.enhancement_on:
+        if f_n < 3:
+            raise DataError(
+                f"enhancement needs >= 3 base features, got {f_n}; "
+                "use more slices or classes, or disable enhancement"
+            )
+        f_n = spectral.feature_count(len(heads), n_class, tri_cap)
+    k1, k2 = s2.conv_kernel, s2.capsule_kernel
+    h1 = (tcfg.patch_size - k1) // s2.conv_stride + 1
+    if h1 < k2:
+        raise DataError(f"patch size {tcfg.patch_size} too small for kernels {k1} then {k2}")
+    h2 = (h1 - k2) // s2.capsule_stride + 1
+    zk = s2.capsules * s2.capsule_dim
+    d_class = s2.class_capsule_dim or s2.capsules
+    add("caps.conv", (s2.conv_filters, k1, k1, f_n), k1 * k1 * f_n, s2.conv_filters)
+    add("caps.primary", (zk, k2, k2, s2.conv_filters), k2 * k2 * s2.conv_filters, zk,
+        bias=False)
+    add("caps.class", (s2.capsules * h2 * h2, n_class, d_class, s2.capsule_dim),
+        s2.capsule_dim, d_class, bias=(n_class, d_class))
+    flat, hidden = n_class * d_class, tcfg.decoder_hidden
+    add("decoder.fc1", (hidden, flat), flat, hidden)
+    add("decoder.fc2", (n_class, hidden), hidden, n_class)
+    return spec
+
+
+def init_params(spec, rng) -> dict:
+    """Tracked registry: Glorot-uniform ``.w`` drawn in spec order, zero ``.b``."""
+    return {
+        name: ad.parameter(np.zeros(shape) if fan_in is None
+                           else ad.glorot_uniform(rng, shape, fan_in, fan_out))
+        for name, shape, fan_in, fan_out in spec
+    }
+
+
+def check_finite(params) -> None:
+    """Raise NumericError naming the first parameter holding a non-finite value."""
+    for name, t in params.items():
+        if not np.all(np.isfinite(ad.value(t))):
+            raise NumericError(f"non-finite values in parameter {name}")
 
 
 @dataclass
 class Model:
-    spectral: spectral.SpectralParams
-    caps: capsule.CapsuleParams
-    decoder: Decoder
-    patch_size: int
-    n_class: int
-    f_n: int
+    """The parameter registry plus what the forward pass reads besides it."""
+
+    params: dict  # name -> array or Tensor, in param_spec order
+    config: object  # RunConfig
     slices: object  # segmented BandSliceSet
+    n_class: int
+    tri_combos: object = None  # (S, 3) int array, or None for all triples
+
+    @property
+    def patch_size(self):
+        return self.config.training.patch_size
+
+    @property
+    def f_n(self):
+        return ad.value(self.params["caps.conv.w"]).shape[3]
 
     def detached(self):
-        m = Model(self.spectral.detached(), self.caps.detached(),
-                  self.decoder.detached(), self.patch_size, self.n_class,
-                  self.f_n, self.slices)
-        return m
-
-    def parameters(self):
-        """Ordered (name, tensor) pairs; this order is the checkpoint order."""
-        out = []
-        for i, net in enumerate(self.spectral.nets):
-            prefix = f"spectral.{i}"
-            if net.dense is not None:
-                out.append((f"{prefix}.dense.w", net.dense.weights))
-                out.append((f"{prefix}.dense.b", net.dense.biases))
-            else:
-                out.append((f"{prefix}.conv1.w", net.conv1.weights))
-                out.append((f"{prefix}.conv1.b", net.conv1.bias))
-                out.append((f"{prefix}.conv2.w", net.conv2.weights))
-                out.append((f"{prefix}.conv2.b", net.conv2.bias))
-            out.append((f"{prefix}.fc1.w", net.fc1.weights))
-            out.append((f"{prefix}.fc1.b", net.fc1.biases))
-            out.append((f"{prefix}.fc2.w", net.fc2.weights))
-            out.append((f"{prefix}.fc2.b", net.fc2.biases))
-        out.append(("caps.conv.w", self.caps.conv.weights))
-        out.append(("caps.conv.b", self.caps.conv.bias))
-        out.append(("caps.primary.w", self.caps.primary.kernels))
-        out.append(("caps.class.w", self.caps.classcaps.weights))
-        out.append(("caps.class.b", self.caps.classcaps.biases))
-        out.append(("decoder.fc1.w", self.decoder.fc1.weights))
-        out.append(("decoder.fc1.b", self.decoder.fc1.biases))
-        out.append(("decoder.fc2.w", self.decoder.fc2.weights))
-        out.append(("decoder.fc2.b", self.decoder.fc2.biases))
-        return out
-
-
-def init_decoder(n_class: int, d_class: int, hidden: int, rng) -> Decoder:
-    flat = n_class * d_class
-    fc1 = spectral.DenseLayer(
-        ad.parameter(ad.glorot_uniform(rng, (hidden, flat), flat, hidden)),
-        ad.parameter(np.zeros(hidden)),
-    )
-    fc2 = spectral.DenseLayer(
-        ad.parameter(ad.glorot_uniform(rng, (n_class, hidden), hidden, n_class)),
-        ad.parameter(np.zeros(n_class)),
-        activation="identity",
-    )
-    return Decoder(fc1, fc2)
+        check_finite(self.params)
+        params = {k: ad.value(v) for k, v in self.params.items()}
+        return Model(params, self.config, self.slices, self.n_class, self.tri_combos)
 
 
 def init_model(slices, n_class: int, run_cfg, rng, tri_combos=None) -> Model:
@@ -93,24 +125,11 @@ def init_model(slices, n_class: int, run_cfg, rng, tri_combos=None) -> Model:
     ``tri_combos`` freezes a fitted triangular-feature subset; None keeps
     every triple.
     """
-    tcfg = run_cfg.training
-    sp = spectral.init_spectral_params(slices, n_class, run_cfg.stage1, rng)
-    sp.enhancement_on = tcfg.enhancement_on
-    sp.tri_combos = tri_combos
-    base = sp.base_width
-    if sp.enhancement_on:
-        if base < 3:
-            raise DataError(
-                f"enhancement needs >= 3 base features, got {base}; "
-                "use more slices or classes, or disable enhancement"
-            )
-        cap = None if tri_combos is None else int(tri_combos.shape[0])
-        f_n = spectral.feature_count(sp.n_slices, n_class, cap)
-    else:
-        f_n = base
-    cp = capsule.init_capsule_params(tcfg.patch_size, f_n, n_class, run_cfg.stage2, rng)
-    dec = init_decoder(n_class, cp.classcaps.d_class, tcfg.decoder_hidden, rng)
-    return Model(sp, cp, dec, tcfg.patch_size, n_class, f_n, slices)
+    cap = None if tri_combos is None else int(tri_combos.shape[0])
+    params = init_params(param_spec(slices, n_class, run_cfg, cap), rng)
+    # forward reads strides, routing and enhancement from the config, so the
+    # model owns a copy that later edits of the caller's config cannot reach
+    return Model(params, copy.deepcopy(run_cfg), slices, n_class, tri_combos)
 
 
 def forward(model: Model, patches: np.ndarray):
@@ -130,15 +149,18 @@ def forward(model: Model, patches: np.ndarray):
         raise DataError(
             f"patch shape {s1}x{s2} does not match model patch size {model.patch_size}"
         )
+    p, cfg = model.params, model.config
     pixels = patches.reshape(N * s1 * s2, B).astype(np.float64)
-    x1 = spectral.base_features(pixels, model.spectral)
-    feats = spectral.enhanced_features(x1, model.spectral)
+    x1 = spectral.base_features(pixels, model)
+    feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, model.tri_combos,
+                                       cfg.training.enhancement_on)
     fmap = ad.reshape(feats, (N, s1, s2, model.f_n))
-    o = capsule.conv2d_batch(fmap, model.caps.conv.weights, model.caps.conv.bias,
-                             model.caps.conv.stride, model.caps.conv.activation)
-    poses = capsule.primary_capsules_batch(o, model.caps.primary)
-    u_hat = capsule.predict_vectors(poses, model.caps.classcaps)
-    v, _, _ = capsule.dynamic_routing(u_hat, model.caps.routing_iterations)
+    o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"],
+                             cfg.stage2.conv_stride, "relu")
+    poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], cfg.stage2.capsules,
+                                           cfg.stage2.capsule_stride)
+    u_hat = capsule.predict_vectors(poses, p["caps.class.w"], p["caps.class.b"])
+    v, _, _ = capsule.dynamic_routing(u_hat, cfg.stage2.routing_iterations)
     lengths = ad.norm(v, axis=-1)
     return {"x1": x1, "features": feats, "poses": poses, "v": v, "lengths": lengths}
 

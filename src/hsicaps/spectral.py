@@ -10,140 +10,23 @@ three-band reflectance indices:
 * triangular index: signed triangle area spanned by every feature triple
   over the (position, value) plane.
 
-All forward routines run on plain arrays or on autodiff tensors.
+The head of the i-th non-empty slice reads its weights from the model's
+parameter registry under ``spectral.<i>.*``. All forward routines run on
+plain arrays or on autodiff tensors.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, NumericError
+from .errors import DataError
 
 # Below this band count a slice uses the dense fallback instead of the
 # two-convolution stack (valid convolution would leave no room).
 MIN_CONV_BANDS = 8
-
-
-@dataclass
-class Conv1dLayer:
-    """1-D valid convolution bank: weights (filters, in_channels, width)."""
-
-    weights: object
-    bias: object
-    stride: int = 1
-
-    def __post_init__(self):
-        w = ad.value(self.weights)
-        if w.ndim != 3:
-            raise DataError("conv1d weights must have shape (filters, channels, width)")
-        if w.shape[2] < 1:
-            raise DataError("receptive field must be >= 1")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(ad.value(self.bias)))):
-            raise NumericError("non-finite conv1d parameters")
-
-    @property
-    def filters(self):
-        return ad.value(self.weights).shape[0]
-
-    @property
-    def width(self):
-        return ad.value(self.weights).shape[2]
-
-    def detached(self):
-        return Conv1dLayer(ad.value(self.weights), ad.value(self.bias), self.stride)
-
-
-@dataclass
-class DenseLayer:
-    """Affine map with optional relu: weights (out, in), biases (out,)."""
-
-    weights: object
-    biases: object
-    activation: str = "relu"
-
-    def __post_init__(self):
-        w, b = ad.value(self.weights), ad.value(self.biases)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise DataError("dense layer shapes inconsistent")
-        if self.activation not in ("relu", "identity"):
-            raise DataError(f"unknown activation {self.activation!r}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise NumericError("non-finite dense parameters")
-
-    def detached(self):
-        return DenseLayer(ad.value(self.weights), ad.value(self.biases), self.activation)
-
-
-@dataclass
-class SliceNet:
-    """Feature stack for one band slice."""
-
-    name: str
-    band_indices: tuple
-    conv1: Conv1dLayer  # None when the dense fallback is active
-    conv2: Conv1dLayer
-    dense: DenseLayer  # fallback for slices narrower than MIN_CONV_BANDS
-    fc1: DenseLayer
-    fc2: DenseLayer
-
-    def detached(self):
-        return SliceNet(
-            self.name,
-            self.band_indices,
-            self.conv1.detached() if self.conv1 else None,
-            self.conv2.detached() if self.conv2 else None,
-            self.dense.detached() if self.dense else None,
-            self.fc1.detached(),
-            self.fc2.detached(),
-        )
-
-
-@dataclass
-class SpectralParams:
-    """All slice nets plus the enhancement configuration."""
-
-    nets: list
-    n_class: int
-    epsilon: float = 1e-8
-    tri_combos: object = None  # (S, 3) int array, or None for all triples
-    enhancement_on: bool = True
-
-    @property
-    def n_slices(self):
-        return len(self.nets)
-
-    @property
-    def base_width(self):
-        return self.n_slices * self.n_class
-
-    def detached(self):
-        return SpectralParams(
-            [net.detached() for net in self.nets],
-            self.n_class,
-            self.epsilon,
-            self.tri_combos,
-            self.enhancement_on,
-        )
-
-
-@dataclass
-class EnhancedFeatureVector:
-    """Base features plus both index transforms; leading axes may batch."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-
-    @property
-    def f_n(self):
-        return self.x1.shape[-1] + self.x2.shape[-1] + self.x3.shape[-1]
-
-    def concatenated(self):
-        return np.concatenate([self.x1, self.x2, self.x3], axis=-1)
 
 
 # combination bookkeeping ----------------------------------------------
@@ -175,88 +58,62 @@ def feature_count(m: int, n_class: int, cap: int = None) -> int:
 # forward routines -----------------------------------------------------
 
 
-def conv1d_forward(signal, layer: Conv1dLayer):
-    """Valid 1-D convolution of a single-channel signal.
-
-    Returns an array of shape (positions, filters) where
-    ``out[p, j] = sum_t W[j, 0, t] * signal[p*stride + t] + bias[j]``.
-    """
-    sig = ad.value(signal) if isinstance(signal, ad.Tensor) else np.asarray(signal, dtype=np.float64)
-    if sig.ndim != 1:
-        raise DataError("conv1d_forward expects a 1-D signal")
-    w = ad.value(layer.weights)
-    if w.shape[1] != 1:
-        raise DataError("conv1d_forward expects a single-channel layer")
-    if sig.size < layer.width:
-        raise DataError(
-            f"signal length {sig.size} shorter than receptive field {layer.width}"
-        )
-    out = _conv1d_stack(
-        ad.reshape(signal if isinstance(signal, ad.Tensor) else sig, (1, sig.size, 1)),
-        layer,
-    )
-    return ad.reshape(out, ad.shape_of(out)[1:])
-
-
-def _conv1d_stack(x, layer: Conv1dLayer):
+def conv1d_batch(x, weights, bias, stride):
     """Batched multichannel valid conv: (P, L, C) -> (P, L1, filters)."""
     P, L, C = ad.shape_of(x)
-    J, Cw, rm = ad.value(layer.weights).shape
+    J, Cw, rm = ad.value(weights).shape
     if Cw != C:
         raise DataError(f"conv1d channel mismatch: input {C}, weights {Cw}")
     if L < rm:
         raise DataError(f"signal length {L} shorter than receptive field {rm}")
-    cols = ad.unfold1d(x, rm, layer.stride)  # (P, L1, rm*C)
+    cols = ad.unfold1d(x, rm, stride)  # (P, L1, rm*C)
     L1 = ad.shape_of(cols)[1]
-    wmat = ad.reshape(ad.transpose(layer.weights, (2, 1, 0)), (rm * C, J))
+    wmat = ad.reshape(ad.transpose(weights, (2, 1, 0)), (rm * C, J))
     flat = ad.matmul(ad.reshape(cols, (-1, rm * C)), wmat)
-    return ad.reshape(ad.add(flat, layer.bias), (P, L1, J))
+    return ad.reshape(ad.add(flat, bias), (P, L1, J))
 
 
-def dense_forward(x, layer: DenseLayer):
-    """Affine layer over the last axis; applies the layer activation."""
+def dense_forward(x, weights, biases, relu=True):
+    """Affine layer over the last axis: weights (out, in), biases (out,)."""
     shape = ad.shape_of(x)
     flat = ad.reshape(x, (-1, shape[-1]))
-    y = ad.add(ad.matmul(flat, ad.transpose(layer.weights)), layer.biases)
-    y = ad.reshape(y, tuple(shape[:-1]) + (ad.value(layer.biases).size,))
-    if layer.activation == "relu":
-        y = ad.relu(y)
-    return y
+    y = ad.add(ad.matmul(flat, ad.transpose(weights)), biases)
+    y = ad.reshape(y, tuple(shape[:-1]) + (ad.value(biases).size,))
+    return ad.relu(y) if relu else y
 
 
-def _slice_features(pixels, net: SliceNet):
-    """Per-slice feature head: (P, L_slice) -> (P, n_class)."""
+def _slice_features(pixels, p, prefix, stride):
+    """Per-slice feature head: (P, L_slice) -> (P, n_class).
+
+    Two relu 1-D convolutions, or the dense fallback when the registry
+    holds ``<prefix>.dense``, then fc1 (relu) and fc2 (identity).
+    """
     P, L = ad.shape_of(pixels)
-    if net.dense is not None:
-        h = dense_forward(pixels, net.dense)
+    if f"{prefix}.dense.w" in p:
+        h = dense_forward(pixels, p[f"{prefix}.dense.w"], p[f"{prefix}.dense.b"])
     else:
         h = ad.reshape(pixels, (P, L, 1))
-        h = ad.relu(_conv1d_stack(h, net.conv1))
-        h = ad.relu(_conv1d_stack(h, net.conv2))
+        for conv in ("conv1", "conv2"):
+            h = ad.relu(conv1d_batch(h, p[f"{prefix}.{conv}.w"], p[f"{prefix}.{conv}.b"],
+                                      stride))
         sh = ad.shape_of(h)
         h = ad.reshape(h, (P, sh[1] * sh[2]))
-    h = dense_forward(h, net.fc1)
-    return dense_forward(h, net.fc2)
+    h = dense_forward(h, p[f"{prefix}.fc1.w"], p[f"{prefix}.fc1.b"])
+    return dense_forward(h, p[f"{prefix}.fc2.w"], p[f"{prefix}.fc2.b"], relu=False)
 
 
-def base_features(pixels, params: SpectralParams):
-    """Concatenated per-slice features: (P, B) -> (P, n_slices * n_class)."""
+def base_features(pixels, model):
+    """Concatenated per-slice features: (P, B) -> (P, n_slices * n_class).
+
+    ``model`` supplies the registry, the segmented slices and the stage-1
+    stride; only its ``spectral.*`` parameters are read.
+    """
     parts = []
-    for net in params.nets:
-        sliced = ad.take(pixels, np.asarray(net.band_indices, dtype=np.intp), axis=1)
-        parts.append(_slice_features(sliced, net))
+    for i, (_, bands) in enumerate(model.slices.non_empty()):
+        sliced = ad.take(pixels, np.asarray(bands, dtype=np.intp), axis=1)
+        parts.append(_slice_features(sliced, model.params, f"spectral.{i}",
+                                     model.config.stage1.stride))
     return ad.concat(parts, axis=1)
-
-
-def stage1_base_features(spectrum, slices, params: SpectralParams):
-    """Base feature vector for one pixel spectrum (length B)."""
-    spec = np.asarray(spectrum, dtype=np.float64)
-    if spec.ndim != 1:
-        raise DataError("expected a 1-D spectrum")
-    if slices is not None and len(slices.non_empty()) != len(params.nets):
-        raise DataError("slice set does not match the parameters' slice nets")
-    out = base_features(spec.reshape(1, -1), params.detached())
-    return np.asarray(out)[0]
 
 
 def binary_index(x1, epsilon: float = 1e-8):
@@ -319,91 +176,24 @@ def fit_triangular_cap(x1_train: np.ndarray, cap: int) -> np.ndarray:
     return combos[selected]
 
 
-def enhance(x1, params: SpectralParams = None, epsilon: float = 1e-8,
-            tri_combos=None) -> EnhancedFeatureVector:
-    """Base features plus both index transforms as one record."""
-    if params is not None:
-        epsilon = params.epsilon
-        tri_combos = params.tri_combos
-    arr = np.asarray(ad.value(x1) if isinstance(x1, ad.Tensor) else x1, dtype=np.float64)
-    if arr.shape[-1] < 3:
-        raise DataError("enhance needs at least 3 base features")
-    return EnhancedFeatureVector(
-        arr,
-        np.asarray(binary_index(arr, epsilon)),
-        np.asarray(triangular_index(arr, tri_combos)),
-    )
+def enhanced_features(x1, epsilon: float = 1e-8, tri_combos=None, enabled: bool = True):
+    """(P, base) -> (P, F_N): base features, binary index, triangular index.
 
-
-def enhanced_features(x1, params: SpectralParams):
-    """(P, base) -> (P, F_N) concatenation used by the full network."""
-    if not params.enhancement_on:
+    ``tri_combos`` restricts the triples to a fitted subset; with
+    ``enabled`` false the base features pass through unchanged.
+    """
+    if not enabled:
         return x1
-    x2 = binary_index(x1, params.epsilon)
-    x3 = triangular_index(x1, params.tri_combos)
+    x2 = binary_index(x1, epsilon)
+    x3 = triangular_index(x1, tri_combos)
     return ad.concat([x1, x2, x3], axis=1)
 
 
-def feature_names(params: SpectralParams) -> list:
-    """Stable column names for enhanced-feature exports (1-based)."""
-    base = params.base_width
+def feature_names(base: int, tri_combos=None, enabled: bool = True) -> list:
+    """Stable column names of ``enhanced_features`` for exports (1-based)."""
     names = [f"b1_{i + 1}" for i in range(base)]
-    if params.enhancement_on:
+    if enabled:
         names += [f"bin_{i + 1}_{j + 1}" for i, j in pair_indices(base)]
-        combos = params.tri_combos if params.tri_combos is not None else triple_indices(base)
+        combos = tri_combos if tri_combos is not None else triple_indices(base)
         names += [f"tri_{i + 1}_{j + 1}_{h + 1}" for i, j, h in combos]
     return names
-
-
-# initialization -------------------------------------------------------
-
-
-def init_spectral_params(slices, n_class: int, cfg, rng) -> SpectralParams:
-    """Seeded parameter construction for every non-empty slice.
-
-    ``slices`` must already be segmented; slices holding fewer than
-    MIN_CONV_BANDS bands get the dense fallback head.
-    """
-    nets = []
-    for name, band_idx in slices.non_empty():
-        L = len(band_idx)
-        conv1 = conv2 = dense = None
-        if L < max(MIN_CONV_BANDS, cfg.conv1_width + cfg.conv2_width):
-            dense = DenseLayer(
-                ad.parameter(ad.glorot_uniform(rng, (cfg.small_slice_width, L), L, cfg.small_slice_width)),
-                ad.parameter(np.zeros(cfg.small_slice_width)),
-            )
-            fc1_in = cfg.small_slice_width
-        else:
-            conv1 = Conv1dLayer(
-                ad.parameter(
-                    ad.glorot_uniform(rng, (cfg.conv1_filters, 1, cfg.conv1_width),
-                            cfg.conv1_width, cfg.conv1_filters)
-                ),
-                ad.parameter(np.zeros(cfg.conv1_filters)),
-                cfg.stride,
-            )
-            conv2 = Conv1dLayer(
-                ad.parameter(
-                    ad.glorot_uniform(rng, (cfg.conv2_filters, cfg.conv1_filters, cfg.conv2_width),
-                            cfg.conv2_width * cfg.conv1_filters, cfg.conv2_filters)
-                ),
-                ad.parameter(np.zeros(cfg.conv2_filters)),
-                cfg.stride,
-            )
-            l1 = (L - cfg.conv1_width) // cfg.stride + 1
-            l2 = (l1 - cfg.conv2_width) // cfg.stride + 1
-            fc1_in = l2 * cfg.conv2_filters
-        fc1 = DenseLayer(
-            ad.parameter(ad.glorot_uniform(rng, (cfg.fc1_width, fc1_in), fc1_in, cfg.fc1_width)),
-            ad.parameter(np.zeros(cfg.fc1_width)),
-        )
-        fc2 = DenseLayer(
-            ad.parameter(ad.glorot_uniform(rng, (n_class, cfg.fc1_width), cfg.fc1_width, n_class)),
-            ad.parameter(np.zeros(n_class)),
-            activation="identity",
-        )
-        nets.append(SliceNet(name, tuple(band_idx), conv1, conv2, dense, fc1, fc2))
-    if not nets:
-        raise DataError("no band overlaps slice specification")
-    return SpectralParams(nets, n_class, epsilon=cfg.epsilon)

@@ -4,6 +4,8 @@ The loss is a per-class hinge on capsule lengths plus a weighted MSE
 between a masked-capsule reconstruction and the one-hot center label.
 Gradients come from the reverse-mode graph; a central finite-difference
 comparator provides the independent check used by ``gradcheck``.
+Checkpoints store the parameter registry in its spec order; loading is
+exact against that spec or raises.
 """
 
 import json
@@ -24,8 +26,13 @@ CHECKPOINT_FORMAT = "hsicaps-checkpoint-v1"
 # losses ---------------------------------------------------------------
 
 
-def _margin_terms(lengths, onehot, cfg: MarginLossConfig):
-    """Per-sample margin loss over the last axis; accepts tensors."""
+def margin_loss(lengths, onehot, cfg: MarginLossConfig):
+    """Per-sample margin loss over the last axis; accepts tensors.
+
+    ``onehot`` marks each sample's target class; the canonical variant
+    squares the positive hinge, the as-printed one hinges the squared
+    length.
+    """
     pos_gap = ad.relu(ad.sub(cfg.edge_plus, lengths))
     neg_gap = ad.relu(ad.sub(lengths, cfg.edge_minus))
     if cfg.variant == "canonical":
@@ -34,19 +41,6 @@ def _margin_terms(lengths, onehot, cfg: MarginLossConfig):
         pos = ad.mul(onehot, ad.relu(ad.sub(cfg.edge_plus, ad.mul(lengths, lengths))))
     neg = ad.mul(ad.mul(ad.sub(1.0, onehot), cfg.mu), ad.mul(neg_gap, neg_gap))
     return ad.sum(ad.add(pos, neg), axis=-1)
-
-
-def margin_loss(lengths, target: int, cfg: MarginLossConfig = None) -> float:
-    """Margin loss of one sample; ``target`` is a 1-based class id."""
-    cfg = cfg or MarginLossConfig()
-    vals = np.asarray(ad.value(lengths) if isinstance(lengths, ad.Tensor) else lengths,
-                      dtype=np.float64)
-    n = vals.shape[-1]
-    if not 1 <= target <= n:
-        raise DataError(f"target class {target} outside [1, {n}]")
-    onehot = np.zeros(n)
-    onehot[target - 1] = 1.0
-    return float(np.asarray(_margin_terms(vals, onehot, cfg)))
 
 
 def reconstruction_loss(y_hat, y):
@@ -66,38 +60,18 @@ def total_loss(margin, recon, theta: float):
     return ad.add(margin, ad.mul(recon, theta))
 
 
-def decoder_core(v_flat, decoder: model_mod.Decoder):
-    h = spectral.dense_forward(v_flat, decoder.fc1)
-    return spectral.dense_forward(h, decoder.fc2)
+def reconstruct(v, onehot, params):
+    """Masked reconstruction for a batch: (N, n_class, D) -> (N, n_class).
 
-
-def decoder_forward(v, selected: int, decoder: model_mod.Decoder, policy: str = "target"):
-    """Reconstruction from one activity set (n_class, D).
-
-    All capsules except ``selected`` (1-based; ignored under the
-    ``argmax`` policy) are zeroed before the dense stack.
+    Every capsule except the ``onehot`` target is zeroed before the
+    decoder's two dense layers (relu, then identity).
     """
-    vv = np.asarray(ad.value(v) if isinstance(v, ad.Tensor) else v, dtype=np.float64)
-    n_class, d = vv.shape
-    if policy == "argmax":
-        selected = int(np.argmax(np.linalg.norm(vv, axis=-1))) + 1
-    if not 1 <= selected <= n_class:
-        raise DataError(f"selected class {selected} outside [1, {n_class}]")
-    if not isinstance(v, ad.Tensor):
-        decoder = decoder.detached()
-    mask = np.zeros((n_class, 1))
-    mask[selected - 1] = 1.0
-    masked = ad.mul(v, mask)
-    flat = ad.reshape(masked, (1, n_class * d))
-    out = decoder_core(flat, decoder)
-    return ad.reshape(out, (n_class,))
-
-
-def _decoder_batch(v, onehot, decoder: model_mod.Decoder):
-    """Masked reconstruction for a batch: (N, n_class, D) -> (N, n_class)."""
     N, n_class, d = ad.shape_of(v)
     masked = ad.mul(v, onehot.reshape(N, n_class, 1))
-    return decoder_core(ad.reshape(masked, (N, n_class * d)), decoder)
+    h = spectral.dense_forward(ad.reshape(masked, (N, n_class * d)),
+                               params["decoder.fc1.w"], params["decoder.fc1.b"])
+    return spectral.dense_forward(h, params["decoder.fc2.w"], params["decoder.fc2.b"],
+                                  relu=False)
 
 
 def batch_loss(mdl: model_mod.Model, patches, targets, cfg):
@@ -109,8 +83,8 @@ def batch_loss(mdl: model_mod.Model, patches, targets, cfg):
     n = mdl.n_class
     onehot = np.zeros((len(targets), n))
     onehot[np.arange(len(targets)), np.asarray(targets) - 1] = 1.0
-    margin = ad.mean(_margin_terms(out["lengths"], onehot, cfg.margin))
-    recon = _decoder_batch(out["v"], onehot, mdl.decoder)
+    margin = ad.mean(margin_loss(out["lengths"], onehot, cfg.margin))
+    recon = reconstruct(out["v"], onehot, mdl.params)
     rloss = reconstruction_loss(recon, onehot)
     return total_loss(margin, rloss, cfg.reconstruction_weight), out
 
@@ -207,11 +181,12 @@ def build_model(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSpl
         base = n_slices * labels.n_class
         cap = config.stage1.resolve_cap(labels.n_class)
         if cap is not None and cap < spectral.triple_indices(base).shape[0]:
-            probe = spectral.init_spectral_params(slices, labels.n_class,
-                                                  config.stage1, rng)
+            spec = model_mod.param_spec(slices, labels.n_class, config)
+            heads = model_mod.init_params([e for e in spec if e[0].startswith("spectral.")], rng)
+            probe = model_mod.Model(heads, config, slices, labels.n_class).detached()
             spectra = np.array([cube.data[r, c, :] for r, c in split.train_indices],
                                dtype=np.float64)
-            x1 = np.asarray(spectral.base_features(spectra, probe.detached()))
+            x1 = np.asarray(spectral.base_features(spectra, probe))
             tri_combos = spectral.fit_triangular_cap(x1, cap)
             rng = np.random.default_rng(tcfg.seed)  # model init unaffected by probe
     return model_mod.init_model(slices, labels.n_class, config, rng, tri_combos)
@@ -246,7 +221,7 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
     tcfg = config.training
     cube = data.normalize_cube(cube)
     mdl = build_model(cube, labels, split, config)
-    params = [t for _, t in mdl.parameters()]
+    params = list(mdl.params.values())
     state = AdamState.for_params(params)
 
     train_patches = data.extract_patch_batch(cube, split.train_indices, tcfg.patch_size)
@@ -342,7 +317,7 @@ def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
     little-endian float64 parameter blob in registry order."""
     from .config import config_to_dict
 
-    entries = mdl.parameters()
+    entries = mdl.params.items()
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": config_to_dict(config),
@@ -352,8 +327,8 @@ def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
         "wavelengths_nm": [float(w) for w in wavelengths],
         "slices": [list(s) for s in mdl.slices.slices],
         "slice_band_indices": [list(ix) for ix in mdl.slices.band_indices],
-        "tri_combos": (None if mdl.spectral.tri_combos is None
-                       else np.asarray(mdl.spectral.tri_combos).tolist()),
+        "tri_combos": (None if mdl.tri_combos is None
+                       else np.asarray(mdl.tri_combos).tolist()),
         "params": [{"name": n, "shape": list(ad.value(t).shape)} for n, t in entries],
         "dtype": "f64le",
     }
@@ -388,20 +363,28 @@ def load_checkpoint(path: str):
     )
     tri = manifest["tri_combos"]
     tri_combos = None if tri is None else np.asarray(tri, dtype=np.intp)
-    rng = np.random.default_rng(config.training.seed)
-    mdl = model_mod.init_model(slices, int(manifest["n_class"]), config, rng, tri_combos)
-    offset = 0
-    for spec_entry, (name, tensor) in zip(manifest["params"], mdl.parameters()):
-        if spec_entry["name"] != name:
-            raise DataError(f"checkpoint parameter order mismatch at {name}")
-        shape = tuple(spec_entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        tensor.data = raw.reshape(shape).astype(np.float64)
-    if offset != len(blob):
+    n_class = int(manifest["n_class"])
+    spec = model_mod.param_spec(slices, n_class, config,
+                                None if tri_combos is None else len(tri_combos))
+    want = [(name, tuple(shape)) for name, shape, _, _ in spec]
+    got = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
+    if got != want:
+        i = next(i for i in range(max(len(got), len(want))) if got[i : i + 1] != want[i : i + 1])
+        raise DataError(
+            f"checkpoint parameters differ from the spec of its config at entry {i}: "
+            f"{got[i : i + 1]} vs {want[i : i + 1]} ({len(got)} vs {len(want)} entries)"
+        )
+    counts = [int(np.prod(shape)) for _, shape in want]
+    if sum(counts) * 8 != len(blob):
         raise DataError("checkpoint blob size mismatch")
-    return mdl, config, manifest
+    flat = np.frombuffer(blob, dtype="<f8")
+    params, offset = {}, 0
+    for (name, shape), count in zip(want, counts):
+        params[name] = ad.parameter(flat[offset : offset + count].reshape(shape)
+                                    .astype(np.float64))
+        offset += count
+    model_mod.check_finite(params)
+    return model_mod.Model(params, config, slices, n_class, tri_combos), config, manifest
 
 
 def check_cube_compatible(manifest: dict, cube: data.HsiCube) -> None:
@@ -456,7 +439,7 @@ def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
     coords = split.train_indices[:4]
     patches = data.extract_patch_batch(cube, coords, config.training.patch_size)
     targets = np.array([labels.labels[r, c] for r, c in coords])
-    entries = mdl.parameters()
+    entries = list(mdl.params.items())
     params = [t for _, t in entries]
 
     def loss_fn(_):
@@ -496,7 +479,7 @@ def _condition_check_point(mdl, seed: int) -> None:
     biases keep every pair denominator near 1.
     """
     rng = np.random.default_rng(seed + 1)
-    for name, tensor in mdl.parameters():
+    for name, tensor in mdl.params.items():
         if not name.endswith(".b"):
             continue
         lo, hi = (0.5, 1.0) if ".fc2." in name else (0.01, 0.2)

@@ -108,16 +108,16 @@ def test_criterion_02_squash_law():
 
 def test_criterion_03_routing_invariants():
     rng = np.random.default_rng(SEED)
-    u_hat = rng.normal(size=(8, 5, 4)) * 1.5
-    state = capsule.route(u_hat, iterations=4)
-    for c in state.coupling_history:
+    u_hat = rng.normal(size=(1, 8, 5, 4)) * 1.5  # one sample, batched
+    _, _, history = capsule.dynamic_routing(u_hat, iterations=4)
+    for c, _, _ in history:
         np.testing.assert_allclose(c.sum(axis=-1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(state.coupling_history[0], 1.0 / 5.0, atol=1e-15)
+    np.testing.assert_allclose(history[0][0], 1.0 / 5.0, atol=1e-15)
 
-    unanimous = np.zeros((2, 2, 3))
-    unanimous[:, 0, 0] = 1.2
-    st3 = capsule.route(unanimous, iterations=3)
-    agreed = [c[0, 0] for c in st3.coupling_history]
+    unanimous = np.zeros((1, 2, 2, 3))
+    unanimous[0, :, 0, 0] = 1.2
+    _, _, history = capsule.dynamic_routing(unanimous, iterations=3)
+    agreed = [c[0, 0, 0] for c, _, _ in history]
     assert agreed[0] == pytest.approx(0.5)
     assert agreed[0] < agreed[1] < agreed[2]
     report(3, f"rows sum to 1 (1e-9), uniform init, agreement grows "
@@ -131,8 +131,8 @@ def test_criterion_04_feature_count_and_index_algebra():
     assert spectral.feature_count(7, 3) == 1561
     assert spectral.feature_count(7, 17) == 280959
     rng = np.random.default_rng(SEED)
-    ev = spectral.enhance(rng.normal(size=21))
-    assert ev.concatenated().shape == (1561,)
+    feats = spectral.enhanced_features(rng.normal(size=(1, 21)))
+    assert feats.shape == (1, 1561)
 
     # antisymmetry over 10^4 random vectors
     x = rng.normal(size=(10_000, 6))
@@ -304,11 +304,17 @@ def test_criterion_08_index_formulas():
 
 
 def test_criterion_09_margin_loss():
-    assert training.margin_loss(np.array([0.9, 0.1]), 1) == pytest.approx(0.0)
-    assert training.margin_loss(np.array([0.5, 0.5]), 1) == pytest.approx(0.24)
+    target = np.array([[1.0, 0.0]])  # one sample of class 1, batched
+    canonical_cfg = MarginLossConfig()
+
+    def loss(lengths, cfg):
+        return float(training.margin_loss(np.array([lengths]), target, cfg)[0])
+
+    assert loss([0.9, 0.1], canonical_cfg) == pytest.approx(0.0)
+    assert loss([0.5, 0.5], canonical_cfg) == pytest.approx(0.24)
     printed = MarginLossConfig(variant="as-printed")
-    canonical = training.margin_loss(np.array([0.5, 0.5]), 1)
-    literal = training.margin_loss(np.array([0.5, 0.5]), 1, printed)
+    canonical = loss([0.5, 0.5], canonical_cfg)
+    literal = loss([0.5, 0.5], printed)
     assert literal == pytest.approx(0.73)
     assert abs(literal - canonical) > 1e-6
     report(9, f"canonical fixtures 0 and 0.24 hold; as-printed gives "

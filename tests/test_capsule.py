@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from hsicaps import autodiff as ad
 from hsicaps import capsule
 from hsicaps.errors import DataError
 
 
-def conv2d_layer(weights, bias=None, stride=1, activation="relu"):
+def conv2d(fmap, weights, bias=None, stride=1, activation="relu"):
+    """Batched conv2d on a single (H, W, C) map, i.e. an N = 1 batch."""
     w = np.asarray(weights, dtype=np.float64)
-    if bias is None:
-        bias = np.zeros(w.shape[0])
-    return capsule.Conv2dLayer(w, np.asarray(bias, dtype=np.float64), stride, activation)
+    b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
+    return capsule.conv2d_batch(fmap[None], w, b, stride, activation)[0]
 
 
 def brute_conv2d(fmap, weights, bias, stride):
@@ -39,15 +40,14 @@ def brute_conv2d(fmap, weights, bias, stride):
 
 def test_conv2d_ones():
     fmap = np.ones((3, 3, 1))
-    layer = conv2d_layer(np.ones((1, 3, 3, 1)))
-    np.testing.assert_allclose(capsule.conv2d_forward(fmap, layer), [[[9.0]]])
+    np.testing.assert_allclose(conv2d(fmap, np.ones((1, 3, 3, 1))), [[[9.0]]])
 
 
 def test_conv2d_delta_kernel_identity(rng):
     fmap = rng.uniform(0.1, 1.0, size=(5, 5, 1))
     w = np.zeros((1, 3, 3, 1))
     w[0, 1, 1, 0] = 1.0
-    out = capsule.conv2d_forward(fmap, conv2d_layer(w))
+    out = conv2d(fmap, w)
     np.testing.assert_allclose(out[:, :, 0], fmap[1:4, 1:4, 0])
 
 
@@ -56,15 +56,14 @@ def test_conv2d_matches_brute_force(rng):
         fmap = rng.normal(size=(6, 6, 3))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        layer = conv2d_layer(w, b, stride)
         expected = np.maximum(brute_conv2d(fmap, w, b, stride), 0.0)
-        np.testing.assert_allclose(capsule.conv2d_forward(fmap, layer), expected,
+        np.testing.assert_allclose(conv2d(fmap, w, b, stride), expected,
                                    rtol=1e-12, atol=1e-13)
 
 
 def test_conv2d_too_small_error():
     with pytest.raises(DataError, match="smaller than kernel"):
-        capsule.conv2d_forward(np.zeros((2, 2, 1)), conv2d_layer(np.ones((1, 3, 3, 1))))
+        conv2d(np.zeros((2, 2, 1)), np.ones((1, 3, 3, 1)))
 
 
 # squash -------------------------------------------------------------------
@@ -96,21 +95,20 @@ def test_squash_norm_law_and_direction(rng):
 # primary capsules -----------------------------------------------------------
 
 
-def primary_layer(count, dim, kernels, stride=1):
-    return capsule.PrimaryCapsuleLayer(count, dim, np.asarray(kernels, dtype=np.float64),
-                                       stride)
+def primary(fmap, count, kernels):
+    """Batched primary capsules on a single (H, W, C) map (N = 1)."""
+    kernels = np.asarray(kernels, dtype=np.float64)
+    return np.asarray(capsule.primary_capsules_batch(fmap[None], kernels, count))[0]
 
 
 def test_primary_capsules_zero_map():
-    layer = primary_layer(2, 2, np.ones((4, 3, 3, 2)))
-    poses = np.asarray(capsule.primary_capsules(np.zeros((5, 5, 2)), layer))
+    poses = primary(np.zeros((5, 5, 2)), 2, np.ones((4, 3, 3, 2)))
     assert poses.shape == (2 * 3 * 3, 2)
     np.testing.assert_array_equal(poses, 0.0)
 
 
 def test_primary_capsule_norm_bound(rng):
-    layer = primary_layer(3, 4, rng.normal(size=(12, 3, 3, 2)))
-    poses = np.asarray(capsule.primary_capsules(rng.normal(size=(6, 6, 2)) * 5, layer))
+    poses = primary(rng.normal(size=(6, 6, 2)) * 5, 3, rng.normal(size=(12, 3, 3, 2)))
     assert np.all(np.linalg.norm(poses, axis=-1) < 1.0)
 
 
@@ -118,8 +116,7 @@ def test_primary_capsules_composition_oracle(rng):
     count, dim = 2, 3
     kernels = rng.normal(size=(count * dim, 3, 3, 2))
     fmap = rng.normal(size=(4, 4, 2))
-    layer = primary_layer(count, dim, kernels)
-    poses = np.asarray(capsule.primary_capsules(fmap, layer))
+    poses = primary(fmap, count, kernels)
     # oracle: linear conv per neuron, regroup, squash
     raw = brute_conv2d(fmap, kernels, np.zeros(count * dim), 1)  # (2, 2, count*dim)
     h2 = raw.shape[0]
@@ -131,18 +128,11 @@ def test_primary_capsules_composition_oracle(rng):
 # predict vectors -------------------------------------------------------------
 
 
-def class_layer(weights, biases, n_class, d_class):
-    return capsule.ClassCapsuleLayer(np.asarray(weights, dtype=np.float64),
-                                     np.asarray(biases, dtype=np.float64),
-                                     n_class, d_class)
-
-
 def test_predict_vectors_identity():
     M, K = 3, 4
     w = np.broadcast_to(np.eye(K), (M, 2, K, K)).copy()
-    layer = class_layer(w, np.zeros((2, K)), 2, K)
     poses = np.arange(M * K, dtype=np.float64).reshape(M, K) / 10.0
-    u_hat = np.asarray(capsule.predict_vectors(poses, layer))
+    u_hat = np.asarray(capsule.predict_vectors(poses, w, np.zeros((2, K))))
     for n in range(2):
         np.testing.assert_allclose(u_hat[:, n, :], poses)
 
@@ -150,8 +140,8 @@ def test_predict_vectors_identity():
 def test_predict_vectors_zero_poses_give_biases(rng):
     M, K, D, n = 4, 3, 5, 2
     b = rng.normal(size=(n, D))
-    layer = class_layer(rng.normal(size=(M, n, D, K)), b, n, D)
-    u_hat = np.asarray(capsule.predict_vectors(np.zeros((M, K)), layer))
+    w = rng.normal(size=(M, n, D, K))
+    u_hat = np.asarray(capsule.predict_vectors(np.zeros((M, K)), w, b))
     for m in range(M):
         np.testing.assert_allclose(u_hat[m], b)
 
@@ -161,7 +151,7 @@ def test_predict_vectors_matmul_oracle(rng):
     w = rng.normal(size=(M, n, D, K))
     b = rng.normal(size=(n, D))
     poses = rng.normal(size=(M, K))
-    u_hat = np.asarray(capsule.predict_vectors(poses, class_layer(w, b, n, D)))
+    u_hat = np.asarray(capsule.predict_vectors(poses, w, b))
     expected = np.zeros((M, n, D))
     for m in range(M):
         for c in range(n):
@@ -172,24 +162,34 @@ def test_predict_vectors_matmul_oracle(rng):
 # routing ---------------------------------------------------------------------
 
 
+def route(u_hat, iterations):
+    """Batched routing of one (M, n_class, D) prediction set (N = 1).
+
+    Returns the final activities (n_class, D) and the per-iteration
+    coupling coefficients, each (M, n_class).
+    """
+    v, _, history = capsule.dynamic_routing(np.asarray(u_hat)[None], iterations)
+    return np.asarray(v)[0], [np.asarray(c)[0] for c, _, _ in history]
+
+
 def test_routing_initial_coefficients_uniform(rng):
     u_hat = rng.normal(size=(6, 4, 3))
-    state = capsule.route(u_hat, iterations=3)
-    np.testing.assert_allclose(state.coupling_history[0], 0.25)
+    _, couplings = route(u_hat, iterations=3)
+    np.testing.assert_allclose(couplings[0], 0.25)
 
 
 def test_routing_single_class(rng):
     u_hat = rng.normal(size=(5, 1, 3))
-    state = capsule.route(u_hat, iterations=2)
-    np.testing.assert_allclose(state.c, 1.0)
+    v, couplings = route(u_hat, iterations=2)
+    np.testing.assert_allclose(couplings[-1], 1.0)
     expected_v = np.asarray(capsule.squash(u_hat[:, 0, :].sum(axis=0)))
-    np.testing.assert_allclose(state.v[0], expected_v, rtol=1e-12)
+    np.testing.assert_allclose(v[0], expected_v, rtol=1e-12)
 
 
 def test_routing_rows_sum_to_one(rng):
     u_hat = rng.normal(size=(7, 5, 4)) * 2.0
-    state = capsule.route(u_hat, iterations=4)
-    for c in state.coupling_history:
+    _, couplings = route(u_hat, iterations=4)
+    for c in couplings:
         np.testing.assert_allclose(c.sum(axis=-1), 1.0, atol=1e-9)
 
 
@@ -204,8 +204,8 @@ def unanimous_fixture(dim=3, norm=1.2):
 
 def test_routing_monotone_agreement_hand_simulation():
     u_hat, w = unanimous_fixture()
-    state = capsule.route(u_hat, iterations=3)
-    coeffs = [c[0, 0] for c in state.coupling_history]
+    _, couplings = route(u_hat, iterations=3)
+    coeffs = [c[0, 0] for c in couplings]
     # strict growth toward the agreed class
     assert coeffs[0] == pytest.approx(0.5)
     assert coeffs[0] < coeffs[1] < coeffs[2]
@@ -226,32 +226,37 @@ def test_routing_monotone_agreement_hand_simulation():
 def test_routing_permutation_invariance(rng):
     u_hat = rng.normal(size=(6, 3, 4))
     perm = rng.permutation(6)
-    v_a = capsule.route(u_hat, 3).v
-    v_b = capsule.route(u_hat[perm], 3).v
+    v_a, _ = route(u_hat, 3)
+    v_b, _ = route(u_hat[perm], 3)
     np.testing.assert_allclose(v_a, v_b, atol=1e-12)
 
 
 def test_routing_needs_iterations():
     with pytest.raises(DataError):
-        capsule.route(np.zeros((2, 2, 2)), iterations=0)
+        capsule.dynamic_routing(np.zeros((1, 2, 2, 2)), iterations=0)
 
 
 # class probabilities ----------------------------------------------------------
 
 
+def predict_class(lengths):
+    """1-based class ids from (N, n_class) lengths, as the model predicts them."""
+    return np.argmax(lengths, axis=1) + 1
+
+
 def test_class_probabilities_and_argmax(rng):
-    state = capsule.route(rng.normal(size=(4, 3, 5)), 3)
-    lengths = capsule.class_probabilities(state)
+    v, _ = route(rng.normal(size=(4, 3, 5)), 3)
+    lengths = np.asarray(ad.norm(v[None], axis=-1))
     assert np.all(lengths >= 0.0) and np.all(lengths < 1.0)
-    assert capsule.predict_class(np.array([0.2, 0.9, 0.4])) == 2
-    assert capsule.predict_class(np.zeros(3)) == 1  # tie -> lowest id
+    assert predict_class(np.array([[0.2, 0.9, 0.4]]))[0] == 2
+    assert predict_class(np.zeros((1, 3)))[0] == 1  # tie -> lowest id
 
 
 def test_zero_routing_state_predicts_class_one():
-    state = capsule.route(np.zeros((3, 4, 2)), 2)
-    lengths = capsule.class_probabilities(state)
+    v, _ = route(np.zeros((3, 4, 2)), 2)
+    lengths = np.asarray(ad.norm(v[None], axis=-1))
     np.testing.assert_allclose(lengths, 0.0, atol=1e-15)
-    assert capsule.predict_class(lengths) == 1
+    assert predict_class(lengths)[0] == 1
 
 
 def test_argmax_invariant_under_prescale(rng):

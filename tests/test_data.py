@@ -155,45 +155,46 @@ def test_segment_no_overlap_error():
 
 
 def test_interior_patch_exact_window(small_cube, small_labels):
-    patch = data.extract_patch(small_cube, small_labels, (2, 2), 3)
-    np.testing.assert_array_equal(patch.data, small_cube.data[1:4, 1:4, :])
-    assert patch.label == 2
+    patch = data.extract_patch_batch(small_cube, [(2, 2)], 3)[0]
+    np.testing.assert_array_equal(patch, small_cube.data[1:4, 1:4, :])
+    assert small_labels.labels[2, 2] == 2
 
 
 def test_corner_patch_mirrors():
     grid = np.arange(9, dtype=np.float32).reshape(3, 3, 1)
     cube = make_cube(grid, [500.0])
-    labels = data.labelmap_from_array(np.ones((3, 3), dtype=int))
-    patch = data.extract_patch(cube, labels, (0, 0), 3)
+    patch = data.extract_patch_batch(cube, [(0, 0)], 3)[0]
     # mirror about the edge: row -1 -> row 1, col -1 -> col 1
     expected = np.array([
         [4, 3, 4],
         [1, 0, 1],
         [4, 3, 4],
     ], dtype=np.float32).reshape(3, 3, 1)
-    np.testing.assert_array_equal(patch.data, expected)
+    np.testing.assert_array_equal(patch, expected)
 
 
 def test_patch_label_matches_center(small_cube, small_labels):
-    for r in range(small_cube.height):
-        for c in range(small_cube.width):
-            patch = data.extract_patch(small_cube, small_labels, (r, c), 3)
-            assert patch.label == small_labels.labels[r, c]
+    # a patch carries no label: its center pixel is the one the coords name
+    coords = [(r, c) for r in range(small_cube.height) for c in range(small_cube.width)]
+    patches = data.extract_patch_batch(small_cube, coords, 3)
+    for (r, c), patch in zip(coords, patches):
+        np.testing.assert_array_equal(patch[1, 1], small_cube.data[r, c])
 
 
 def test_patch_errors(small_cube, small_labels):
     with pytest.raises(DataError, match="odd"):
-        data.extract_patch(small_cube, small_labels, (1, 1), 4)
-    with pytest.raises(DataError, match="outside"):
-        data.extract_patch(small_cube, small_labels, (9, 0), 3)
+        data.extract_patch_batch(small_cube, [(1, 1)], 4)
+    for center in ((9, 0), (0, 5), (-1, 2)):
+        with pytest.raises(DataError, match="outside"):
+            data.extract_patch_batch(small_cube, [(1, 1), center], 3)
 
 
 def test_patch_translation_consistency(small_cube, small_labels):
-    patch = data.extract_patch(small_cube, small_labels, (2, 2), 3)
+    patch = data.extract_patch_batch(small_cube, [(2, 2)], 3)[0]
     for i in range(3):
         for j in range(3):
             np.testing.assert_array_equal(
-                patch.data[i, j], small_cube.data[2 + i - 1, 2 + j - 1]
+                patch[i, j], small_cube.data[2 + i - 1, 2 + j - 1]
             )
 
 

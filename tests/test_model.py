@@ -39,20 +39,21 @@ def tiny_setup(n_class=2, seed=3):
 # straight-line oracle pieces (loops only) ---------------------------------
 
 
-def oracle_slice_features(spectrum, net):
-    sliced = spectrum[list(net.band_indices)]
-    if net.dense is not None:
-        w, b = np.asarray(net.dense.weights.data), np.asarray(net.dense.biases.data)
+def oracle_slice_features(spectrum, band_indices, reg, prefix):
+    """Slice head ``prefix`` of registry ``reg`` on one spectrum."""
+    sliced = spectrum[list(band_indices)]
+    if f"{prefix}.dense.w" in reg:
+        w, b = reg[f"{prefix}.dense.w"], reg[f"{prefix}.dense.b"]
         h = np.maximum(w @ sliced + b, 0.0)
     else:
-        w1, b1 = net.conv1.weights.data, net.conv1.bias.data
+        w1, b1 = reg[f"{prefix}.conv1.w"], reg[f"{prefix}.conv1.b"]
         l1 = len(sliced) - w1.shape[2] + 1
         c1 = np.zeros((l1, w1.shape[0]))
         for p in range(l1):
             for j in range(w1.shape[0]):
                 c1[p, j] = np.dot(w1[j, 0], sliced[p : p + w1.shape[2]]) + b1[j]
         c1 = np.maximum(c1, 0.0)
-        w2, b2 = net.conv2.weights.data, net.conv2.bias.data
+        w2, b2 = reg[f"{prefix}.conv2.w"], reg[f"{prefix}.conv2.b"]
         l2 = l1 - w2.shape[2] + 1
         c2 = np.zeros((l2, w2.shape[0]))
         for p in range(l2):
@@ -63,9 +64,9 @@ def oracle_slice_features(spectrum, net):
                         acc += w2[j, ch, t] * c1[p + t, ch]
                 c2[p, j] = acc + b2[j]
         h = np.maximum(c2, 0.0).reshape(-1)
-    w, b = net.fc1.weights.data, net.fc1.biases.data
+    w, b = reg[f"{prefix}.fc1.w"], reg[f"{prefix}.fc1.b"]
     h = np.maximum(w @ h + b, 0.0)
-    w, b = net.fc2.weights.data, net.fc2.biases.data
+    w, b = reg[f"{prefix}.fc2.w"], reg[f"{prefix}.fc2.b"]
     return w @ h + b
 
 
@@ -109,31 +110,32 @@ def oracle_squash(u):
 
 def oracle_forward(mdl, patch):
     s = patch.shape[0]
-    sp = mdl.spectral
+    p = {name: ad.value(t) for name, t in mdl.params.items()}
+    cfg = mdl.config
     fmap = np.zeros((s, s, mdl.f_n))
     for r in range(s):
         for c in range(s):
             x1 = np.concatenate([
-                oracle_slice_features(patch[r, c].astype(np.float64), net)
-                for net in sp.nets
+                oracle_slice_features(patch[r, c].astype(np.float64), bands, p,
+                                      f"spectral.{i}")
+                for i, (_, bands) in enumerate(mdl.slices.non_empty())
             ])
-            fmap[r, c] = oracle_enhance(x1, sp.epsilon) if sp.enhancement_on else x1
-    o = np.maximum(
-        oracle_conv2d(fmap, mdl.caps.conv.weights.data, mdl.caps.conv.bias.data), 0.0
-    )
-    raw = oracle_conv2d(o, mdl.caps.primary.kernels.data, None)
+            fmap[r, c] = (oracle_enhance(x1, cfg.stage1.epsilon)
+                          if cfg.training.enhancement_on else x1)
+    o = np.maximum(oracle_conv2d(fmap, p["caps.conv.w"], p["caps.conv.b"]), 0.0)
+    raw = oracle_conv2d(o, p["caps.primary.w"], None)
     h2 = raw.shape[0]
-    z, kd = mdl.caps.primary.count, mdl.caps.primary.dim
+    z, kd = cfg.stage2.capsules, cfg.stage2.capsule_dim
     poses = raw.reshape(h2, h2, z, kd).transpose(2, 0, 1, 3).reshape(-1, kd)
-    poses = np.stack([oracle_squash(p) for p in poses])
-    w, bias = mdl.caps.classcaps.weights.data, mdl.caps.classcaps.biases.data
+    poses = np.stack([oracle_squash(u) for u in poses])
+    w, bias = p["caps.class.w"], p["caps.class.b"]
     M, n_class, D = w.shape[0], w.shape[1], w.shape[2]
     u_hat = np.zeros((M, n_class, D))
     for m in range(M):
         for n in range(n_class):
             u_hat[m, n] = w[m, n] @ poses[m] + bias[n]
     b = np.zeros((M, n_class))
-    for _ in range(mdl.caps.routing_iterations):
+    for _ in range(cfg.stage2.routing_iterations):
         e = np.exp(b - b.max(axis=1, keepdims=True))
         cc = e / e.sum(axis=1, keepdims=True)
         sums = np.zeros((n_class, D))
@@ -162,7 +164,7 @@ def test_forward_matches_with_enhancement_off():
     cfg.training.enhancement_on = False
     split = data.split_samples(labels, 0.5, 3)
     mdl2 = training.build_model(cube, labels, split, cfg)
-    assert mdl2.f_n == mdl2.spectral.base_width
+    assert mdl2.f_n == len(mdl2.slices.non_empty()) * labels.n_class
     patches = data.extract_patch_batch(cube, [(3, 3)], 5)
     out = model_mod.forward(mdl2.detached(), patches)
     expected = oracle_forward(mdl2, patches[0])

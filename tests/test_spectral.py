@@ -7,43 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicaps import autodiff as ad
-from hsicaps import data, spectral
-from hsicaps.config import SpectralConfig
+from hsicaps import data, model as model_mod, spectral
+from hsicaps.config import RunConfig
 from hsicaps.errors import DataError
 
 
-def conv_layer(kernels, bias=None, stride=1):
+def conv1d(signal, kernels, bias=None, stride=1):
+    """Batched conv1d on one single-channel signal (N = 1): (positions, filters)."""
     w = np.asarray(kernels, dtype=np.float64)
     if w.ndim == 1:
         w = w.reshape(1, 1, -1)
-    if bias is None:
-        bias = np.zeros(w.shape[0])
-    return spectral.Conv1dLayer(w, np.asarray(bias, dtype=np.float64), stride)
+    b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
+    sig = np.asarray(signal, dtype=np.float64)
+    return spectral.conv1d_batch(sig.reshape(1, -1, 1), w, b, stride)[0]
 
 
 # conv1d -------------------------------------------------------------------
 
 
 def test_conv1d_identity_pick_kernel():
-    out = spectral.conv1d_forward([1, 2, 3, 4], conv_layer([1, 0]))
+    out = conv1d([1, 2, 3, 4], [1, 0])
     np.testing.assert_allclose(out.reshape(-1), [1, 2, 3])
 
 
 def test_conv1d_box_kernel():
-    out = spectral.conv1d_forward([1, 2, 3], conv_layer([1, 1, 1]))
+    out = conv1d([1, 2, 3], [1, 1, 1])
     np.testing.assert_allclose(out.reshape(-1), [6])
 
 
 def test_conv1d_linearity(rng):
-    layer = conv_layer(rng.normal(size=5))  # zero bias
+    w = rng.normal(size=5)  # zero bias
     s = rng.normal(size=12)
     a = 3.7
-    np.testing.assert_allclose(
-        spectral.conv1d_forward(a * s, layer),
-        a * spectral.conv1d_forward(s, layer),
-        rtol=1e-12,
-    )
+    np.testing.assert_allclose(conv1d(a * s, w), a * conv1d(s, w), rtol=1e-12)
 
 
 def brute_conv1d(signal, weights, bias, stride):
@@ -65,9 +61,8 @@ def test_conv1d_matches_brute_force(rng):
         w = rng.normal(size=(3, 1, 4))
         b = rng.normal(size=3)
         sig = rng.normal(size=11)
-        layer = spectral.Conv1dLayer(w, b, stride)
         np.testing.assert_allclose(
-            spectral.conv1d_forward(sig, layer),
+            conv1d(sig, w, b, stride),
             brute_conv1d(sig, w, b, stride),
             rtol=1e-12, atol=1e-14,
         )
@@ -75,15 +70,15 @@ def test_conv1d_matches_brute_force(rng):
 
 def test_conv1d_short_signal_error():
     with pytest.raises(DataError, match="shorter"):
-        spectral.conv1d_forward([1.0], conv_layer([1, 1]))
+        conv1d([1.0], [1, 1])
 
 
 # slice nets ----------------------------------------------------------------
 
 
-def build_params(slices, n_class, seed=0, cfg=None):
-    cfg = cfg or SpectralConfig()
-    return spectral.init_spectral_params(slices, n_class, cfg, np.random.default_rng(seed))
+def build_model(slices, n_class, seed=0):
+    """Seeded model over ``slices`` with the default configuration."""
+    return model_mod.init_model(slices, n_class, RunConfig(), np.random.default_rng(seed))
 
 
 def segmented(wavelengths):
@@ -92,41 +87,43 @@ def segmented(wavelengths):
     return data.segment_bands(cube)
 
 
+def base_features(spectrum, mdl):
+    """Batched base features of one spectrum (N = 1)."""
+    return np.asarray(spectral.base_features(spectrum.reshape(1, -1), mdl.detached()))[0]
+
+
 def test_base_features_length_and_zero_params(rng):
     slices = segmented([480, 550, 620, 700, 760, 900])  # 6 slices non-empty
-    params = build_params(slices, n_class=3)
-    assert params.base_width == len(slices.non_empty()) * 3
+    mdl = build_model(slices, n_class=3)
+    base_width = len(slices.non_empty()) * 3
     spectrum = rng.uniform(0, 1, size=6)
-    x1 = spectral.stage1_base_features(spectrum, slices, params)
-    assert x1.shape == (params.base_width,)
+    x1 = base_features(spectrum, mdl)
+    assert x1.shape == (base_width,)
     # zero every parameter -> zero features
-    for net in params.nets:
-        for layer in (net.conv1, net.conv2, net.dense, net.fc1, net.fc2):
-            if layer is None:
-                continue
-            for field in ("weights", "bias", "biases"):
-                t = getattr(layer, field, None)
-                if t is not None:
-                    t.data[...] = 0.0
-    np.testing.assert_array_equal(
-        spectral.stage1_base_features(spectrum, slices, params), 0.0
-    )
+    for t in mdl.params.values():
+        t.data[...] = 0.0
+    np.testing.assert_array_equal(base_features(spectrum, mdl), 0.0)
+
+
+def head_kinds(slices, n_class):
+    """Per slice head: "dense" for the fallback, "conv" for the conv stack."""
+    names = {name for name, *_ in model_mod.param_spec(slices, n_class, RunConfig())}
+    return ["dense" if f"spectral.{i}.dense.w" in names else "conv"
+            for i in range(len(slices.non_empty()))]
 
 
 def test_dense_fallback_for_narrow_slices():
     slices = segmented([480, 550, 620, 700, 760, 900])
-    params = build_params(slices, n_class=2)
-    assert all(net.dense is not None for net in params.nets)  # all slices narrow
+    assert set(head_kinds(slices, 2)) == {"dense"}  # all slices narrow
     wide = segmented(list(np.linspace(400, 510, 10)) + [550.0])
-    params_wide = build_params(wide, n_class=2)
-    assert params_wide.nets[0].conv1 is not None  # 10-band blue slice
-    assert params_wide.nets[1].dense is not None  # single green band
+    # 10-band blue slice takes the conv path, the single green band the fallback
+    assert head_kinds(wide, 2) == ["conv", "dense"]
 
 
 def test_conv_path_shapes(rng):
     wide = segmented(list(np.linspace(400, 510, 12)))
-    params = build_params(wide, n_class=4)
-    x1 = spectral.stage1_base_features(rng.uniform(0, 1, 12), wide, params)
+    mdl = build_model(wide, n_class=4)
+    x1 = base_features(rng.uniform(0, 1, 12), mdl)
     assert x1.shape == (4,)
 
 
@@ -239,18 +236,18 @@ def test_feature_count_values():
 
 
 def test_enhance_bookkeeping(rng):
-    x1 = rng.normal(size=21)
-    ev = spectral.enhance(x1)
-    assert ev.x2.shape == (210,)
-    assert ev.x3.shape == (1330,)
-    assert ev.f_n == 1561
-    assert ev.concatenated().shape == (1561,)
+    x1 = rng.normal(size=(1, 21))
+    feats = spectral.enhanced_features(x1)
+    np.testing.assert_array_equal(feats[:, :21], x1)
+    assert feats[:, 21:231].shape == (1, 210)  # binary index
+    assert feats[:, 231:].shape == (1, 1330)  # triangular index
+    assert feats.shape == (1, 1561)
 
 
 def test_enhance_zeros():
-    ev = spectral.enhance(np.zeros(5))
-    np.testing.assert_array_equal(ev.x2, 0.0)
-    np.testing.assert_array_equal(ev.x3, 0.0)
+    feats = spectral.enhanced_features(np.zeros((1, 5)))
+    np.testing.assert_array_equal(feats[:, 5:15], 0.0)
+    np.testing.assert_array_equal(feats[:, 15:], 0.0)
 
 
 def test_enhance_lengths_exhaustive(rng):
@@ -259,13 +256,12 @@ def test_enhance_lengths_exhaustive(rng):
             base = m * n_class
             if base < 3 or base > 30:
                 continue
-            ev = spectral.enhance(rng.normal(size=base))
-            assert ev.f_n == spectral.feature_count(m, n_class)
+            feats = spectral.enhanced_features(rng.normal(size=(1, base)))
+            assert feats.shape[1] == spectral.feature_count(m, n_class)
 
 
 def test_feature_names_stable():
-    params = spectral.SpectralParams([None], 3)  # only base_width matters
-    names = spectral.feature_names(params)
+    names = spectral.feature_names(3)  # three base features
     assert names[0] == "b1_1"
     assert names[3] == "bin_1_2"
     assert names[3 + 3] == "tri_1_2_3"

@@ -1,5 +1,7 @@
 """Losses, decoder, Adam, gradients, the loop and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,81 +14,87 @@ from hsicaps.errors import DataError, NumericError
 # margin loss -----------------------------------------------------------
 
 
+def margin(lengths, cfg=None):
+    """Batched margin loss of one sample of class 1 (N = 1)."""
+    n = len(lengths)
+    onehot = np.eye(n)[:1]
+    return float(training.margin_loss(np.array([lengths]), onehot,
+                                      cfg or MarginLossConfig())[0])
+
+
 def test_margin_loss_inactive_hinges():
-    assert training.margin_loss(np.array([0.9, 0.1]), 1) == pytest.approx(0.0)
+    assert margin([0.9, 0.1]) == pytest.approx(0.0)
 
 
 def test_margin_loss_single_class():
-    assert training.margin_loss(np.array([0.0]), 1) == pytest.approx(0.81)
+    assert margin([0.0]) == pytest.approx(0.81)
 
 
 def test_margin_loss_hand_value():
-    assert training.margin_loss(np.array([0.5, 0.5]), 1) == pytest.approx(0.24)
+    assert margin([0.5, 0.5]) == pytest.approx(0.24)
 
 
 def test_margin_loss_as_printed_differs():
     printed = MarginLossConfig(variant="as-printed")
-    lengths = np.array([0.5, 0.5])
-    canonical = training.margin_loss(lengths, 1)
-    literal = training.margin_loss(lengths, 1, printed)
+    lengths = [0.5, 0.5]
+    canonical = margin(lengths)
+    literal = margin(lengths, printed)
     # literal form: max(0, 0.9 - 0.25) + 0.5*max(0, 0.4)^2
     assert literal == pytest.approx(0.65 + 0.08)
     assert abs(literal - canonical) > 0.1
     # second fixture locks both readings
-    lengths2 = np.array([0.9, 0.1])
-    assert training.margin_loss(lengths2, 1) == pytest.approx(0.0)
-    assert training.margin_loss(lengths2, 1, printed) == pytest.approx(0.9 - 0.81)
-
-
-def test_margin_loss_target_range():
-    with pytest.raises(DataError):
-        training.margin_loss(np.array([0.5, 0.5]), 3)
+    lengths2 = [0.9, 0.1]
+    assert margin(lengths2) == pytest.approx(0.0)
+    assert margin(lengths2, printed) == pytest.approx(0.9 - 0.81)
 
 
 # decoder ---------------------------------------------------------------
 
 
 def make_decoder(n_class, d, hidden=6, seed=0):
-    return model_mod.init_decoder(n_class, d, hidden, np.random.default_rng(seed))
+    """Seeded decoder registry entries, drawn as the model draws them."""
+    rng = np.random.default_rng(seed)
+    flat = n_class * d
+    return {
+        "decoder.fc1.w": ad.glorot_uniform(rng, (hidden, flat), flat, hidden),
+        "decoder.fc1.b": np.zeros(hidden),
+        "decoder.fc2.w": ad.glorot_uniform(rng, (n_class, hidden), hidden, n_class),
+        "decoder.fc2.b": np.zeros(n_class),
+    }
+
+
+def decode(v, selected, dec):
+    """Batched reconstruction of one activity set (N = 1); ``selected`` is 1-based."""
+    onehot = np.eye(len(v))[selected - 1 : selected]
+    return np.asarray(training.reconstruct(np.asarray(v)[None], onehot, dec))[0]
 
 
 def test_decoder_zero_weights_zero_output():
     dec = make_decoder(3, 4)
-    for layer in (dec.fc1, dec.fc2):
-        layer.weights.data[...] = 0.0
-        layer.biases.data[...] = 0.0
-    out = training.decoder_forward(np.ones((3, 4)), 2, dec)
-    np.testing.assert_array_equal(np.asarray(out), np.zeros(3))
+    for arr in dec.values():
+        arr[...] = 0.0
+    out = decode(np.ones((3, 4)), 2, dec)
+    np.testing.assert_array_equal(out, np.zeros(3))
 
 
 def test_decoder_masks_non_selected_capsules(rng):
     dec = make_decoder(3, 4)
     v = rng.normal(size=(3, 4))
-    base = np.asarray(training.decoder_forward(v, 2, dec))
+    base = decode(v, 2, dec)
     perturbed = v.copy()
     perturbed[0] += 10.0
     perturbed[2] -= 5.0
-    np.testing.assert_array_equal(
-        base, np.asarray(training.decoder_forward(perturbed, 2, dec))
-    )
-
-
-def test_decoder_argmax_policy(rng):
-    dec = make_decoder(2, 3)
-    v = np.array([[0.1, 0.0, 0.0], [0.8, 0.1, 0.0]])
-    by_argmax = np.asarray(training.decoder_forward(v, 1, dec, policy="argmax"))
-    by_target = np.asarray(training.decoder_forward(v, 2, dec))
-    np.testing.assert_array_equal(by_argmax, by_target)
+    np.testing.assert_array_equal(base, decode(perturbed, 2, dec))
 
 
 def test_decoder_matches_dense_oracle(rng):
     dec = make_decoder(2, 3, hidden=5, seed=4)
     v = rng.normal(size=(2, 3))
-    out = np.asarray(training.decoder_forward(v, 1, dec))
+    out = decode(v, 1, dec)
     masked = v.copy()
     masked[1] = 0.0
-    w1, b1 = dec.fc1.weights.data, dec.fc1.biases.data
-    w2, b2 = dec.fc2.weights.data, dec.fc2.biases.data
+    w1, b1 = dec["decoder.fc1.w"], dec["decoder.fc1.b"]
+    w2, b2 = dec["decoder.fc2.w"], dec["decoder.fc2.b"]
     hidden = np.maximum(w1 @ masked.reshape(-1) + b1, 0.0)
     np.testing.assert_allclose(out, w2 @ hidden + b2, rtol=1e-12)
 
@@ -131,7 +139,7 @@ def test_gradients_zero_plateau():
     cfg = MarginLossConfig()
 
     def loss_fn(params):
-        return ad.sum(training._margin_terms(params[0], np.array([1.0, 0.0]), cfg))
+        return ad.sum(training.margin_loss(params[0], np.array([1.0, 0.0]), cfg))
 
     loss_val, grads = training.compute_gradients(loss_fn, [lengths])
     assert loss_val == 0.0
@@ -248,7 +256,7 @@ def test_train_enhancement_flag_controls_f_n(tiny_dataset):
     cube, labels, split = tiny_dataset
     on = training.train(cube, labels, split, small_run_config())
     off = training.train(cube, labels, split, small_run_config(enhancement=False))
-    m = on.model.spectral.n_slices
+    m = len(on.model.slices.non_empty())
     n_class = labels.n_class
     assert on.model.f_n == spectral.feature_count(m, n_class)
     assert off.model.f_n == m * n_class
@@ -280,7 +288,8 @@ def test_train_deterministic(tiny_dataset):
     a = training.train(cube, labels, split, small_run_config())
     b = training.train(cube, labels, split, small_run_config())
     assert a.history == b.history
-    for (_, ta), (_, tb) in zip(a.model.parameters(), b.model.parameters()):
+    assert list(a.model.params) == list(b.model.params)
+    for ta, tb in zip(a.model.params.values(), b.model.params.values()):
         np.testing.assert_array_equal(ta.data, tb.data)
 
 
@@ -330,7 +339,8 @@ def test_checkpoint_round_trip(tmp_path, tiny_dataset):
     loaded, loaded_cfg, manifest = training.load_checkpoint(path)
     assert loaded.f_n == result.model.f_n
     assert loaded_cfg.training.patch_size == cfg.training.patch_size
-    for (na, ta), (nb, tb) in zip(result.model.parameters(), loaded.parameters()):
+    assert len(loaded.params) == len(result.model.params)
+    for (na, ta), (nb, tb) in zip(result.model.params.items(), loaded.params.items()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
     training.check_cube_compatible(manifest, cube)
@@ -350,6 +360,82 @@ def test_checkpoint_predictions_survive_round_trip(tmp_path, tiny_dataset):
     before = training.predict_map(result.model, cube)
     after = training.predict_map(loaded, cube)
     np.testing.assert_array_equal(before, after)
+
+
+def _rewrite_checkpoint(path, edit):
+    """Apply ``edit(manifest, {name: array})`` to a saved checkpoint in place."""
+    with open(path, "rb") as fh:
+        manifest = json.loads(fh.readline())
+        blob = fh.read()
+    arrays, offset = {}, 0
+    for entry in manifest["params"]:
+        count = int(np.prod(entry["shape"]))
+        arrays[entry["name"]] = np.frombuffer(blob, "<f8", count, offset).reshape(
+            entry["shape"]).copy()
+        offset += count * 8
+    edit(manifest, arrays)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
+        for entry in manifest["params"]:
+            fh.write(arrays[entry["name"]].astype("<f8").tobytes())
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory, tiny_dataset):
+    cube, labels, split = tiny_dataset
+    cfg = small_run_config(epochs=1)
+    result = training.train(cube, labels, split, cfg)
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
+    training.save_checkpoint(path, result.model, cfg, cube.wavelengths)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_checkpoint_missing_parameter_fails_loudly(tmp_path, saved_checkpoint):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(saved_checkpoint)
+
+    def drop(manifest, arrays):
+        manifest["params"] = [e for e in manifest["params"] if e["name"] != "decoder.fc2.b"]
+
+    _rewrite_checkpoint(str(path), drop)
+    with pytest.raises(DataError, match="decoder.fc2.b"):
+        training.load_checkpoint(str(path))
+
+
+def test_checkpoint_wrong_shape_fails_loudly(tmp_path, saved_checkpoint):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(saved_checkpoint)
+
+    def reshape(manifest, arrays):
+        entry = next(e for e in manifest["params"] if e["name"] == "caps.class.b")
+        entry["shape"] = entry["shape"][::-1]
+        arrays["caps.class.b"] = arrays["caps.class.b"].T
+
+    _rewrite_checkpoint(str(path), reshape)
+    with pytest.raises(DataError, match="caps.class.b"):
+        training.load_checkpoint(str(path))
+
+
+def test_checkpoint_non_finite_parameter_fails_loudly(tmp_path, saved_checkpoint):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(saved_checkpoint)
+
+    def poison(manifest, arrays):
+        arrays["caps.primary.w"].reshape(-1)[3] = np.nan
+
+    _rewrite_checkpoint(str(path), poison)
+    with pytest.raises(NumericError, match="caps.primary.w"):
+        training.load_checkpoint(str(path))
+
+
+def test_non_finite_parameter_stops_prediction(tiny_dataset):
+    cube, labels, split = tiny_dataset
+    mdl = training.build_model(data.normalize_cube(cube), labels, split, small_run_config())
+    patches = data.extract_patch_batch(data.normalize_cube(cube), [(1, 1)], 5)
+    mdl.params["caps.primary.w"].data[0, 0, 0, 0] = np.nan
+    with pytest.raises(NumericError, match="caps.primary.w"):
+        model_mod.predict_lengths(mdl, patches)
 
 
 def test_checkpoint_round_trip_ablation_variants(tmp_path, tiny_dataset):
