@@ -403,37 +403,6 @@ def concat(xs, axis):
     return _make(out, tuple(x for x in xs if _tracked(x)), bw)
 
 
-# gathers --------------------------------------------------------------
-
-# Above this element count the scatter matrix for take()'s backward is
-# not worth its memory; fall back to np.add.at.
-_SCATTER_LIMIT = 8_000_000
-
-
-def take(x, indices, axis):
-    """Select ``indices`` along ``axis`` (repeats allowed)."""
-    xv = _val(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    out = np.take(xv, idx, axis=axis)
-    if not _tracked(x):
-        return out
-    axis_n = axis % xv.ndim
-    dim = xv.shape[axis_n]
-
-    def bw(g):
-        if axis_n == xv.ndim - 1 and idx.ndim == 1 and idx.size * dim <= _SCATTER_LIMIT:
-            scatter = np.zeros((idx.size, dim))
-            scatter[np.arange(idx.size), idx] = 1.0
-            gx = (g.reshape(-1, idx.size) @ scatter).reshape(xv.shape)
-        else:
-            gx = np.zeros_like(xv)
-            sel = (slice(None),) * axis_n + (idx,)
-            np.add.at(gx, sel, g)
-        _accum(x, gx)
-
-    return _make(out, (x,), bw)
-
-
 # sliding windows (valid convolution support) --------------------------
 
 

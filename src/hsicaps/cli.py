@@ -130,12 +130,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _predictions_at(mdl, cube, coords, batch_size=64):
-    patches = data.extract_patch_batch(data.normalize_cube(cube), coords, mdl.patch_size)
-    lengths = model_mod.predict_lengths(mdl, patches, batch_size)
-    return np.argmax(lengths, axis=1) + 1
-
-
 def _cmd_evaluate(args) -> int:
     mdl, cfg, manifest = training.load_checkpoint(args.checkpoint)
     cube, labels = _load_dataset(args.cube, args.labels)
@@ -153,7 +147,8 @@ def _cmd_evaluate(args) -> int:
         if not (0 <= r < labels.height and 0 <= c < labels.width):
             raise DataError(f"split pixel ({r}, {c}) outside the label map")
     truth = np.array([labels.labels[r, c] for r, c in coords])
-    pred = _predictions_at(mdl, cube, coords)
+    class_map = training.predict_map(mdl, cube, coords)
+    pred = np.array([class_map[r, c] for r, c in coords])
     cm = evaluation.confusion(truth, pred, n_class=mdl.n_class)
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -10,6 +10,11 @@ three-band reflectance indices:
 * triangular index: signed triangle area spanned by every feature triple
   over the (position, value) plane.
 
+The binary index is ``(x1 @ D) / (x1 @ S)`` and the triangular index
+``x1 @ T``, for fixed matrices. T vanishes exactly on affine (collinear)
+sequences, so it has rank b - 2 for b base features: all C(b,3) triangle
+features, and any capped subset, span at most b - 2 directions (19 at b = 21).
+
 The head of the i-th non-empty slice reads its weights from the model's
 parameter registry under ``spectral.<i>.*``. All forward routines run on
 plain arrays or on autodiff tensors.
@@ -39,6 +44,18 @@ def pair_indices(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
+def pair_matrices(n: int):
+    """(D, S), each (n, C(n,2)): ``x @ D`` is x_i - x_j and ``x @ S`` is
+    x_i + x_j for every lexicographic pair; read-only, as they are cached."""
+    (i, j), cols = pair_indices(n).T, np.arange(math.comb(n, 2))
+    d = np.zeros((n, cols.size))
+    d[i, cols], d[j, cols] = 1.0, -1.0
+    s = np.abs(d)
+    d.flags.writeable = s.flags.writeable = False
+    return d, s
+
+
+@lru_cache(maxsize=128)
 def triple_indices(n: int) -> np.ndarray:
     """All i<j<h triples over 0..n-1 in lexicographic order, shape (C(n,3), 3)."""
     return np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
@@ -58,27 +75,29 @@ def feature_count(m: int, n_class: int, cap: int = None) -> int:
 # forward routines -----------------------------------------------------
 
 
+def matmul_last(x, w):
+    """``x @ w`` over the last axis of any (..., F) input; w is (F, out)."""
+    shape = ad.shape_of(x)
+    y = ad.matmul(ad.reshape(x, (-1, shape[-1])), w)
+    return ad.reshape(y, tuple(shape[:-1]) + (ad.shape_of(w)[1],))
+
+
 def conv1d_batch(x, weights, bias, stride):
     """Batched multichannel valid conv: (P, L, C) -> (P, L1, filters)."""
-    P, L, C = ad.shape_of(x)
+    _, L, C = ad.shape_of(x)
     J, Cw, rm = ad.value(weights).shape
     if Cw != C:
         raise DataError(f"conv1d channel mismatch: input {C}, weights {Cw}")
     if L < rm:
         raise DataError(f"signal length {L} shorter than receptive field {rm}")
     cols = ad.unfold1d(x, rm, stride)  # (P, L1, rm*C)
-    L1 = ad.shape_of(cols)[1]
     wmat = ad.reshape(ad.transpose(weights, (2, 1, 0)), (rm * C, J))
-    flat = ad.matmul(ad.reshape(cols, (-1, rm * C)), wmat)
-    return ad.reshape(ad.add(flat, bias), (P, L1, J))
+    return ad.add(matmul_last(cols, wmat), bias)
 
 
 def dense_forward(x, weights, biases, relu=True):
     """Affine layer over the last axis: weights (out, in), biases (out,)."""
-    shape = ad.shape_of(x)
-    flat = ad.reshape(x, (-1, shape[-1]))
-    y = ad.add(ad.matmul(flat, ad.transpose(weights)), biases)
-    y = ad.reshape(y, tuple(shape[:-1]) + (ad.value(biases).size,))
+    y = ad.add(matmul_last(x, ad.transpose(weights)), biases)
     return ad.relu(y) if relu else y
 
 
@@ -103,14 +122,14 @@ def _slice_features(pixels, p, prefix, stride):
 
 
 def base_features(pixels, model):
-    """Concatenated per-slice features: (P, B) -> (P, n_slices * n_class).
+    """Concatenated per-slice features: (P, B) array -> (P, n_slices * n_class).
 
     ``model`` supplies the registry, the segmented slices and the stage-1
     stride; only its ``spectral.*`` parameters are read.
     """
     parts = []
     for i, (_, bands) in enumerate(model.slices.non_empty()):
-        sliced = ad.take(pixels, np.asarray(bands, dtype=np.intp), axis=1)
+        sliced = pixels[:, np.asarray(bands, dtype=np.intp)]
         parts.append(_slice_features(sliced, model.params, f"spectral.{i}",
                                      model.config.stage1.stride))
     return ad.concat(parts, axis=1)
@@ -126,12 +145,9 @@ def binary_index(x1, epsilon: float = 1e-8):
     F = ad.shape_of(x1)[-1]
     if F < 2:
         raise DataError("binary index needs at least 2 features")
-    pairs = pair_indices(F)
-    last = len(ad.shape_of(x1)) - 1
-    xi = ad.take(x1, pairs[:, 0], axis=last)
-    xj = ad.take(x1, pairs[:, 1], axis=last)
-    den = ad.signed_guard(ad.add(xi, xj), epsilon)
-    return ad.clip(ad.div(ad.sub(xi, xj), den), -1.0, 1.0)
+    diff, total = pair_matrices(F)
+    den = ad.signed_guard(matmul_last(x1, total), epsilon)
+    return ad.clip(ad.div(matmul_last(x1, diff), den), -1.0, 1.0)
 
 
 def triangular_index(x1, combos=None):
@@ -146,16 +162,14 @@ def triangular_index(x1, combos=None):
         raise DataError("triangular index needs at least 3 features")
     if combos is None:
         combos = triple_indices(F)
-    combos = np.asarray(combos, dtype=np.intp)
-    last = len(ad.shape_of(x1)) - 1
-    xi = ad.take(x1, combos[:, 0], axis=last)
-    xj = ad.take(x1, combos[:, 1], axis=last)
-    xh = ad.take(x1, combos[:, 2], axis=last)
-    # 1-based positions; |j-h| = h-j and |i-h| = h-i since i < j < h.
-    c_jh = (combos[:, 2] - combos[:, 1]).astype(np.float64)
-    c_ih = (combos[:, 2] - combos[:, 0]).astype(np.float64)
-    area = ad.sub(ad.mul(c_jh, ad.sub(xi, xh)), ad.mul(c_ih, ad.sub(xj, xh)))
-    return ad.mul(area, 0.5)
+    i, j, h = np.asarray(combos, dtype=np.intp).T
+    # area = ((h-j)(x_i-x_h) - (h-i)(x_j-x_h)) / 2, expanded per feature
+    cols = np.arange(i.size)
+    tri = np.zeros((F, i.size))
+    tri[i, cols] = 0.5 * (h - j)
+    tri[j, cols] = -0.5 * (h - i)
+    tri[h, cols] = 0.5 * (j - i)
+    return matmul_last(x1, tri)
 
 
 def fit_triangular_cap(x1_train: np.ndarray, cap: int) -> np.ndarray:

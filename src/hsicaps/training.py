@@ -44,15 +44,11 @@ def margin_loss(lengths, onehot, cfg: MarginLossConfig):
 
 
 def reconstruction_loss(y_hat, y):
-    """Mean squared error between two equal-length vectors."""
-    a = np.asarray(ad.value(y_hat) if isinstance(y_hat, ad.Tensor) else y_hat, dtype=np.float64)
-    b = np.asarray(ad.value(y) if isinstance(y, ad.Tensor) else y, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError(f"length mismatch: {a.shape} vs {b.shape}")
-    if isinstance(y_hat, ad.Tensor) or isinstance(y, ad.Tensor):
-        diff = ad.sub(y_hat, y)
-        return ad.mean(ad.mul(diff, diff))
-    return float(np.mean((a - b) ** 2))
+    """Mean squared error between two equal-shape arrays; accepts tensors."""
+    if ad.shape_of(y_hat) != ad.shape_of(y):
+        raise DataError(f"length mismatch: {ad.shape_of(y_hat)} vs {ad.shape_of(y)}")
+    diff = ad.sub(y_hat, y)
+    return ad.mean(ad.mul(diff, diff))
 
 
 def total_loss(margin, recon, theta: float):
@@ -262,19 +258,16 @@ def save_history(history, path: str) -> None:
             fh.write(f"{epoch},{loss!r},{tr!r},{te!r}\n")
 
 
-def predict_map(mdl: model_mod.Model, cube: data.HsiCube,
-                labels: data.LabelMap = None, batch_size: int = 64) -> np.ndarray:
-    """Class-id map for a whole scene (0 where masked out by ``labels``)."""
+def predict_map(mdl: model_mod.Model, cube: data.HsiCube, coords=None) -> np.ndarray:
+    """Class-id map of a scene at every pixel, or only at ``coords`` (0 elsewhere)."""
     cube = data.normalize_cube(cube)
-    if labels is not None:
-        coords = [tuple(rc) for rc in np.argwhere(labels.labels > 0)]
-    else:
+    if coords is None:
         coords = [(r, c) for r in range(cube.height) for c in range(cube.width)]
     out = np.zeros((cube.height, cube.width), dtype=np.int64)
-    if not coords:
+    if len(coords) == 0:
         return out
     patches = data.extract_patch_batch(cube, coords, mdl.patch_size)
-    lengths = model_mod.predict_lengths(mdl, patches, batch_size)
+    lengths = model_mod.predict_lengths(mdl, patches)
     pred = np.argmax(lengths, axis=1) + 1
     for (r, c), p in zip(coords, pred):
         out[r, c] = p

@@ -107,23 +107,30 @@ def test_shape_ops(rng):
     fd_check(build, [x])
 
 
-def test_take_and_softmax(rng):
+def selection(n, idx):
+    """(n, len(idx)) 0/1 matrix whose column k picks element idx[k]."""
+    sel = np.zeros((n, len(idx)))
+    sel[idx, np.arange(len(idx))] = 1.0
+    return sel
+
+
+def test_selection_matmul_and_softmax(rng):
     x = ad.parameter(rng.normal(size=(3, 5)))
-    idx = np.array([0, 2, 2, 4])
+    sel = selection(5, [0, 2, 2, 4])  # repeats column 2
 
     def build():
-        t = ad.take(x, idx, axis=1)
+        t = ad.matmul(x, sel)
         s = ad.softmax(t, axis=1)
         return ad.sum(ad.mul(s, t))
 
     fd_check(build, [x])
 
 
-def test_take_repeated_indices_accumulate():
-    x = ad.parameter(np.arange(4.0))
-    loss = ad.sum(ad.take(x, np.array([1, 1, 1]), axis=0))
+def test_repeated_selection_accumulates():
+    x = ad.parameter(np.arange(4.0).reshape(1, 4))
+    loss = ad.sum(ad.matmul(x, selection(4, [1, 1, 1])))
     ad.backward(loss)
-    np.testing.assert_array_equal(x.grad, [0.0, 3.0, 0.0, 0.0])
+    np.testing.assert_array_equal(x.grad, [[0.0, 3.0, 0.0, 0.0]])
 
 
 def test_unfold1d_matches_manual_windows(rng):

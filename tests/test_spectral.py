@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_autodiff import fd_check
 
+from hsicaps import autodiff as ad
 from hsicaps import data, model as model_mod, spectral
 from hsicaps.config import RunConfig
 from hsicaps.errors import DataError
@@ -222,6 +224,63 @@ def test_triangular_cap_selects_top_variance(rng):
     assert keys == sorted(keys)
     # cap larger than the population keeps everything
     assert spectral.fit_triangular_cap(x1, 1000).shape == (math.comb(5, 3), 3)
+
+
+# index transforms as fixed matrices -------------------------------------------
+
+
+def test_binary_index_matches_pair_loop(rng):
+    eps = 1e-8
+    x = rng.normal(size=(50, 21))
+    x[3, 2] = -x[3, 5]  # zero denominator
+    x[4, :2] = [1.0, -0.9]  # clamped
+    out = spectral.binary_index(x, eps)
+    ref = np.empty_like(out)
+    for k, (i, j) in enumerate(spectral.pair_indices(21)):
+        den = x[:, i] + x[:, j]
+        ref[:, k] = np.clip((x[:, i] - x[:, j]) / (den + np.where(den >= 0, eps, -eps)),
+                            -1.0, 1.0)
+    np.testing.assert_array_equal(out, ref)
+
+
+def shoelace(x, combos):
+    """Signed area of the triangle on (i+1, x_i), (j+1, x_j), (h+1, x_h)."""
+    out = np.empty((x.shape[0], len(combos)))
+    for k, (i, j, h) in enumerate(combos):
+        out[:, k] = 0.5 * ((j - i) * (x[:, h] - x[:, i]) - (h - i) * (x[:, j] - x[:, i]))
+    return out
+
+
+def test_triangular_index_matches_shoelace(rng):
+    x = rng.normal(size=(40, 12))
+    everything = spectral.triple_indices(12)
+    np.testing.assert_allclose(spectral.triangular_index(x), shoelace(x, everything),
+                               rtol=1e-12, atol=1e-13)
+    capped = spectral.fit_triangular_cap(x, 50)
+    assert capped.shape == (50, 3)
+    np.testing.assert_allclose(spectral.triangular_index(x, capped), shoelace(x, capped),
+                               rtol=1e-12, atol=1e-13)
+
+
+def test_index_transform_gradients(rng):
+    # positive features keep every normalized difference strictly inside the clamp
+    x1 = ad.parameter(rng.uniform(0.2, 1.0, size=(3, 6)))
+    combos = spectral.triple_indices(6)[::3]
+
+    def build():
+        b = spectral.binary_index(x1)
+        t = spectral.triangular_index(x1, combos)
+        return ad.add(ad.sum(ad.mul(b, b)), ad.sum(ad.mul(t, t)))
+
+    fd_check(build, [x1])
+
+
+def test_triangular_map_rank():
+    # Affine sequences (collinear points) have zero area; rank b - 2 says
+    # they make up the whole null space of the full triangular map.
+    for b in range(3, 31):
+        tri = spectral.triangular_index(np.eye(b))  # rows of the (b, C(b,3)) map
+        assert np.linalg.matrix_rank(tri) == b - 2
 
 
 # enhance / feature_count -------------------------------------------------------

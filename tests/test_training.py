@@ -321,7 +321,8 @@ def test_predict_map_constant_cube(tiny_dataset):
 def test_predict_map_masking(tiny_dataset):
     cube, labels, split = tiny_dataset
     result = training.train(cube, labels, split, small_run_config())
-    masked = training.predict_map(result.model, cube, labels)
+    coords = [tuple(rc) for rc in np.argwhere(labels.labels > 0)]
+    masked = training.predict_map(result.model, cube, coords)
     assert masked.shape == (cube.height, cube.width)
     assert np.all(masked[labels.labels == 0] == 0)
     assert np.all(masked[labels.labels > 0] >= 1)
