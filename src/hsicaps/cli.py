@@ -6,6 +6,7 @@ failure.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -146,9 +147,8 @@ def _cmd_evaluate(args) -> int:
     for r, c in coords:
         if not (0 <= r < labels.height and 0 <= c < labels.width):
             raise DataError(f"split pixel ({r}, {c}) outside the label map")
-    truth = np.array([labels.labels[r, c] for r, c in coords])
-    class_map = training.predict_map(mdl, cube, coords)
-    pred = np.array([class_map[r, c] for r, c in coords])
+    truth = data.pixels_at(labels.labels, coords)
+    pred = data.pixels_at(training.predict_map(mdl, cube, coords), coords)
     cm = evaluation.confusion(truth, pred, n_class=mdl.n_class)
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -157,7 +157,7 @@ def _cmd_evaluate(args) -> int:
         other_map = _load_map_csv(args.compare)
         if other_map.shape != (cube.height, cube.width):
             raise DataError("comparison map shape does not match cube")
-        other = np.array([other_map[r, c] for r, c in coords])
+        other = data.pixels_at(other_map, coords)
         try:
             chi2, band = evaluation.mcnemar(truth, pred, other)
             f12 = int(np.sum((pred == truth) & (other != truth)))
@@ -212,15 +212,17 @@ def _cmd_interpret(args) -> int:
     mdl, cfg, manifest = training.load_checkpoint(args.checkpoint)
     cube, labels = _load_dataset(args.cube, args.labels)
     training.check_cube_compatible(manifest, cube)
-    coords = [tuple(int(v) for v in rc) for rc in np.argwhere(labels.labels > 0)]
-    if not coords:
+    labelled = np.argwhere(labels.labels > 0)
+    if not len(labelled):
         raise DataError("no labeled pixels to interpret")
+    coords = [tuple(rc) for rc in labelled.tolist()]
+    rows, cols = labelled.T
     detached = mdl.detached()
     norm_cube = data.normalize_cube(cube)
-    labs = np.array([labels.labels[r, c] for r, c in coords])
+    labs = labels.labels[rows, cols]
 
     # Pixel-level enhanced features (no spatial context needed).
-    spectra = np.array([norm_cube.data[r, c, :] for r, c in coords], dtype=np.float64)
+    spectra = norm_cube.data[rows, cols].astype(np.float64)
     x1 = np.asarray(spectral.base_features(spectra, detached))
     feats = np.asarray(spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
                                                   cfg.training.enhancement_on))
@@ -276,18 +278,10 @@ def _cmd_interpret(args) -> int:
         for (r, c), lab, vec in zip(coords, labs, feats):
             fh.write(f"{r},{c},{lab}," + ",".join(repr(float(v)) for v in vec) + "\n")
 
-    # Capsule-level exports need full patch forwards.
-    patches = data.extract_patch_batch(norm_cube, coords, mdl.patch_size)
-    poses_rows, length_rows, act_rows = [], [], []
-    for lo in range(0, len(coords), 64):
-        out = model_mod.forward(detached, patches[lo : lo + 64])
-        v = np.asarray(out["v"])
-        poses_rows.append(np.asarray(out["poses"]))
-        length_rows.append(np.asarray(out["lengths"]))
-        act_rows.append(v.reshape(v.shape[0], -1))
-    poses = np.concatenate(poses_rows)
-    lengths = np.concatenate(length_rows)
-    activities = np.concatenate(act_rows)
+    # Capsule-level exports need each pixel's patch neighbourhood.
+    scene = model_mod.scene_forward(mdl, norm_cube, labelled)
+    poses, lengths = scene["poses"], scene["lengths"]
+    activities = scene["v"].reshape(len(coords), -1)
 
     with open(os.path.join(out_dir, "lengths.csv"), "w", encoding="utf-8") as fh:
         fh.write("row,col,label," + ",".join(
@@ -306,12 +300,9 @@ def _cmd_interpret(args) -> int:
     kernels = detached.params["caps.conv.w"]
     with open(os.path.join(out_dir, "conv_kernels.csv"), "w", encoding="utf-8") as fh:
         fh.write("filter,ki,kj,channel,value\n")
-        J, k, _, C = kernels.shape
-        for j in range(J):
-            for a in range(k):
-                for b in range(k):
-                    for ch in range(C):
-                        fh.write(f"{j},{a},{b},{ch},{kernels[j, a, b, ch]!r}\n")
+        index = itertools.product(*(range(n) for n in kernels.shape))
+        fh.writelines(f"{j},{a},{b},{ch},{v!r}\n"
+                      for (j, a, b, ch), v in zip(index, kernels.ravel().tolist()))
 
     capsule_entropy = {
         int(cls): evaluation.shannon_entropy(np.abs(activities[labs == cls]))

@@ -271,19 +271,44 @@ def segment_bands(cube: HsiCube, spec: BandSliceSet = None) -> BandSliceSet:
     return BandSliceSet(spec.slices, tuple(assigned))
 
 
+def reflect_pad(cube: HsiCube, size: int) -> np.ndarray:
+    """The cube's data mirror-padded by ``size // 2`` on both spatial axes.
+
+    The patch of odd ``size`` centred on (r, c) is the window of this array
+    whose top-left corner is (r, c); reflection repeats where the image is
+    narrower than the pad.
+    """
+    if size % 2 == 0:
+        raise DataError(f"patch size must be odd, got {size}")
+    pad = size // 2
+    return np.pad(cube.data, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
+
+
+def centre_array(cube: HsiCube, coords) -> np.ndarray:
+    """``coords`` as an (N, 2) index array; every centre must lie in the image."""
+    rc = np.asarray(coords, dtype=np.intp).reshape(-1, 2)
+    outside = (rc < 0).any(axis=1) | (rc[:, 0] >= cube.height) | (rc[:, 1] >= cube.width)
+    if outside.any():
+        r, c = rc[np.argmax(outside)]
+        raise DataError(f"patch center ({r}, {c}) outside image")
+    return rc
+
+
+def pixels_at(array: np.ndarray, coords) -> np.ndarray:
+    """``array[r, c]`` for every (r, c) in ``coords``, by one fancy index."""
+    rc = np.asarray(coords, dtype=np.intp).reshape(-1, 2)
+    return array[rc[:, 0], rc[:, 1]]
+
+
 def extract_patch_batch(cube: HsiCube, coords, size: int) -> np.ndarray:
     """Stack of windows centered on ``coords``, shape (N, s, s, B).
 
     Borders are mirror-reflected; every center must lie in the image.
     """
-    if size % 2 == 0:
-        raise DataError(f"patch size must be odd, got {size}")
-    pad = size // 2
-    padded = np.pad(cube.data, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
-    out = np.empty((len(coords), size, size, cube.bands), dtype=np.float64)
-    for i, (r, c) in enumerate(coords):
-        if not (0 <= r < cube.height and 0 <= c < cube.width):
-            raise DataError(f"patch center ({r}, {c}) outside image")
+    padded = reflect_pad(cube, size)
+    rc = centre_array(cube, coords)
+    out = np.empty((len(rc), size, size, cube.bands), dtype=np.float64)
+    for i, (r, c) in enumerate(rc):
         out[i] = padded[r : r + size, c : c + size, :]
     return out
 

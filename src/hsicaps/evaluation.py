@@ -165,11 +165,9 @@ def dunn_index(features, labels) -> float:
     groups = [x[labs == cls] for cls in np.unique(labs) if (labs == cls).sum() >= 2]
     if len(groups) < 2:
         raise DataError("fewer than 2 classes with >= 2 samples")
-    diameters = []
-    for g in groups:
-        d = np.linalg.norm(g[:, None, :] - g[None, :, :], axis=-1)
-        diameters.append(d.max())
-    max_diameter = max(diameters)
+    # row by row, so memory stays O(n * F) rather than the (n, n, F) of all pairs
+    max_diameter = max(np.linalg.norm(g[i + 1 :] - g[i], axis=-1).max()
+                       for g in groups for i in range(len(g) - 1))
     if max_diameter == 0:
         raise DataError("zero intra-class spread")
     centers = np.array([g.mean(axis=0) for g in groups])

@@ -7,16 +7,26 @@ batch of patches to class-capsule activities: per-pixel slice features
 -> index enhancement -> spatial convolution -> primary capsules ->
 routed class capsules. With tracked parameters the same code builds the
 training graph; with detached parameters it runs as plain numpy.
+Inference runs the same layers fully convolutionally over row tiles of a
+whole scene (``scene_forward``), so each pixel's spectrum is processed once.
 """
 
 import copy
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from . import capsule, spectral
+from . import capsule, data, spectral
 from .errors import DataError, NumericError
+
+# Centre rows per tile of ``scene_forward``. Its peak memory follows the
+# tile: the stage-2 unfold holds about (tile + patch) * (width + patch)
+# * conv_kernel^2 * f_n doubles.
+SCENE_TILE_ROWS = 8
+# Centres per pass through the class-capsule tail, as in predict_lengths.
+TAIL_BATCH = 64
 
 
 def param_spec(slices, n_class: int, config, tri_cap: int = None) -> list:
@@ -159,13 +169,73 @@ def forward(model: Model, patches: np.ndarray):
                              cfg.stage2.conv_stride, "relu")
     poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], cfg.stage2.capsules,
                                            cfg.stage2.capsule_stride)
+    return {"x1": x1, "features": feats, **_class_capsules(model, poses)}
+
+
+def _class_capsules(model: Model, poses) -> dict:
+    """Routed class capsules of squashed primary poses (N, M, K)."""
+    p = model.params
     u_hat = capsule.predict_vectors(poses, p["caps.class.w"], p["caps.class.b"])
-    v, _, _ = capsule.dynamic_routing(u_hat, cfg.stage2.routing_iterations)
-    lengths = ad.norm(v, axis=-1)
-    return {"x1": x1, "features": feats, "poses": poses, "v": v, "lengths": lengths}
+    v, _, _ = capsule.dynamic_routing(u_hat, model.config.stage2.routing_iterations)
+    return {"poses": poses, "v": v, "lengths": ad.norm(v, axis=-1)}
 
 
-def predict_lengths(model: Model, patches: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_ROWS) -> dict:
+    """Detached poses (N, M, K), v (N, n_class, D) and lengths (N, n_class)
+    of the patches centred on ``coords`` of a normalized cube.
+
+    The fully convolutional form of ``forward`` on every centre's patch.
+    The cube is reflect-padded once, as ``data.extract_patch_batch`` does,
+    so every patch is a window of the same array. Per tile of ``tile_rows``
+    centre rows (plus a patch // 2 halo each side; tiles without a centre
+    are skipped) the spectral head and enhancement run once per pixel and
+    the stage-2 and primary convolutions once per position of the tile.
+    A stage-2 conv stride above 1 dilates the primary conv; it runs over
+    each stride phase of the stride-1 conv map that some centre needs.
+    Each centre reads its h2 x h2 window off that map, and only the
+    centres go through the class-capsule tail. Rows follow ``coords``,
+    duplicates included.
+    """
+    mdl = model.detached()
+    p, cfg, size = mdl.params, mdl.config, mdl.patch_size
+    s2 = cfg.stage2
+    st1, st2 = s2.conv_stride, s2.capsule_stride
+    h2 = ((size - s2.conv_kernel) // st1 + 1 - s2.capsule_kernel) // st2 + 1
+    span = (h2 - 1) * st2 + 1
+    padded = data.reflect_pad(norm_cube, size)
+    rc = data.centre_array(norm_cube, coords)
+    M, n_class, D, K = p["caps.class.w"].shape
+    out = {"poses": np.empty((len(rc), M, K)), "v": np.empty((len(rc), n_class, D)),
+           "lengths": np.empty((len(rc), n_class))}
+    tile_of = rc[:, 0] // tile_rows
+    for tile in np.unique(tile_of):
+        ids = np.flatnonzero(tile_of == tile)
+        r0 = tile * tile_rows
+        rows = padded[r0 : r0 + tile_rows + size - 1]
+        R, W, B = rows.shape
+        x1 = spectral.base_features(rows.reshape(R * W, B).astype(np.float64), mdl)
+        feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
+                                           cfg.training.enhancement_on)
+        o = capsule.conv2d_batch(feats.reshape(1, R, W, mdl.f_n), p["caps.conv.w"],
+                                 p["caps.conv.b"], 1, "relu")
+        lr, lc = rc[ids, 0] - r0, rc[ids, 1]
+        phase = (lr % st1) * st1 + lc % st1
+        for ph in np.unique(phase):
+            py, px = divmod(int(ph), st1)
+            sel = phase == ph
+            prim = capsule.conv2d_batch(o[:, py::st1, px::st1], p["caps.primary.w"],
+                                        None, 1, "identity")[0]
+            windows = sliding_window_view(prim, (span, span), axis=(0, 1))[..., ::st2, ::st2]
+            raw = windows[lr[sel] // st1, lc[sel] // st1].transpose(0, 2, 3, 1)
+            dest = ids[sel]
+            for lo in range(0, len(dest), TAIL_BATCH):
+                poses = capsule.pose_vectors(raw[lo : lo + TAIL_BATCH], s2.capsules)
+                for key, val in _class_capsules(mdl, poses).items():
+                    out[key][dest[lo : lo + TAIL_BATCH]] = val
+    return out
+
+
+def predict_lengths(model: Model, patches: np.ndarray, batch_size: int = TAIL_BATCH) -> np.ndarray:
     """Class-capsule lengths for many patches using a detached model."""
     detached = model.detached()
     chunks = []

@@ -180,8 +180,7 @@ def build_model(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSpl
             spec = model_mod.param_spec(slices, labels.n_class, config)
             heads = model_mod.init_params([e for e in spec if e[0].startswith("spectral.")], rng)
             probe = model_mod.Model(heads, config, slices, labels.n_class).detached()
-            spectra = np.array([cube.data[r, c, :] for r, c in split.train_indices],
-                               dtype=np.float64)
+            spectra = data.pixels_at(cube.data, split.train_indices).astype(np.float64)
             x1 = np.asarray(spectral.base_features(spectra, probe))
             tri_combos = spectral.fit_triangular_cap(x1, cap)
             rng = np.random.default_rng(tcfg.seed)  # model init unaffected by probe
@@ -198,10 +197,10 @@ class TrainResult:
     epoch_seconds: list = field(default_factory=list)
 
 
-def _accuracy(mdl, patches, labels_vec, batch_size) -> float:
-    lengths = model_mod.predict_lengths(mdl, patches, batch_size)
-    pred = np.argmax(lengths, axis=1) + 1
-    return float(np.mean(pred == labels_vec))
+def _classes_at(mdl, norm_cube, coords) -> np.ndarray:
+    """1-based predicted class at each of ``coords`` of a normalized cube."""
+    lengths = model_mod.scene_forward(mdl, norm_cube, coords)["lengths"]
+    return np.argmax(lengths, axis=1) + 1
 
 
 def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
@@ -209,8 +208,9 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
     """Mini-batch training over the split's train pixels.
 
     The cube is min-max normalized per band before patch extraction.
-    Raises NumericError (with the epoch index) if the loss goes
-    non-finite.
+    After each epoch the train and test pixels are scored together on
+    that normalized cube. Raises NumericError (with the epoch index) if
+    the loss goes non-finite.
     """
     if not split.train_indices:
         raise DataError("empty train set")
@@ -221,12 +221,12 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
     state = AdamState.for_params(params)
 
     train_patches = data.extract_patch_batch(cube, split.train_indices, tcfg.patch_size)
-    train_labels = np.array([labels.labels[r, c] for r, c in split.train_indices])
-    test_patches = data.extract_patch_batch(cube, split.test_indices, tcfg.patch_size)
-    test_labels = np.array([labels.labels[r, c] for r, c in split.test_indices])
+    scored = split.train_indices + split.test_indices
+    truth = data.pixels_at(labels.labels, scored)
+    n_train = len(split.train_indices)
+    train_labels = truth[:n_train]
 
     rng = np.random.default_rng(tcfg.seed + 1)
-    n_train = len(train_labels)
     history = []
     epoch_seconds = []
     for epoch in range(1, tcfg.epochs + 1):
@@ -243,9 +243,9 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
             grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
             state = adam_step(params, grads, state, tcfg)
             losses.append(lv)
-        train_oa = _accuracy(mdl, train_patches, train_labels, tcfg.batch_size)
-        test_oa = (_accuracy(mdl, test_patches, test_labels, tcfg.batch_size)
-                   if len(test_labels) else float("nan"))
+        hit = _classes_at(mdl, cube, scored) == truth
+        train_oa = float(np.mean(hit[:n_train]))
+        test_oa = float(np.mean(hit[n_train:])) if split.test_indices else float("nan")
         epoch_seconds.append(time.perf_counter() - started)
         history.append((epoch, float(np.mean(losses)), train_oa, test_oa))
     return TrainResult(mdl, history, epoch_seconds)
@@ -262,15 +262,10 @@ def predict_map(mdl: model_mod.Model, cube: data.HsiCube, coords=None) -> np.nda
     """Class-id map of a scene at every pixel, or only at ``coords`` (0 elsewhere)."""
     cube = data.normalize_cube(cube)
     if coords is None:
-        coords = [(r, c) for r in range(cube.height) for c in range(cube.width)]
+        coords = np.argwhere(np.ones((cube.height, cube.width), dtype=bool))
+    rc = data.centre_array(cube, coords)
     out = np.zeros((cube.height, cube.width), dtype=np.int64)
-    if len(coords) == 0:
-        return out
-    patches = data.extract_patch_batch(cube, coords, mdl.patch_size)
-    lengths = model_mod.predict_lengths(mdl, patches)
-    pred = np.argmax(lengths, axis=1) + 1
-    for (r, c), p in zip(coords, pred):
-        out[r, c] = p
+    out[rc[:, 0], rc[:, 1]] = _classes_at(mdl, cube, rc)
     return out
 
 
@@ -286,16 +281,9 @@ def capsule_activity_entropy(mdl: model_mod.Model, cube: data.HsiCube,
     """
     from .evaluation import shannon_entropy
 
-    cube = data.normalize_cube(cube)
-    patches = data.extract_patch_batch(cube, coords, mdl.patch_size)
-    detached = mdl.detached()
-    acts = []
-    for lo in range(0, patches.shape[0], 64):
-        out = model_mod.forward(detached, patches[lo : lo + 64])
-        v = np.asarray(out["v"])
-        acts.append(v.reshape(v.shape[0], -1))
-    acts = np.concatenate(acts, axis=0)
-    labs = np.array([labels.labels[r, c] for r, c in coords])
+    v = model_mod.scene_forward(mdl, data.normalize_cube(cube), coords)["v"]
+    acts = v.reshape(v.shape[0], -1)
+    labs = data.pixels_at(labels.labels, coords)
     ents = [shannon_entropy(acts[labs == cls], base=base)
             for cls in np.unique(labs) if cls > 0]
     return float(np.mean(ents))
@@ -431,7 +419,7 @@ def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
     _condition_check_point(mdl, seed)
     coords = split.train_indices[:4]
     patches = data.extract_patch_batch(cube, coords, config.training.patch_size)
-    targets = np.array([labels.labels[r, c] for r, c in coords])
+    targets = data.pixels_at(labels.labels, coords)
     entries = list(mdl.params.items())
     params = [t for _, t in entries]
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from hsicaps import cli, data, synthetic
+from hsicaps import cli, data, synthetic, training
 from hsicaps.config import config_from_dict
 from hsicaps.errors import ConfigError
 
@@ -206,6 +206,24 @@ def test_interpret_report(workspace, tmp_path):
     header = (out / "features.csv").read_text().splitlines()[0].split(",")
     assert header[:3] == ["row", "col", "label"]
     assert header[3].startswith("b1_")
+
+
+def test_interpret_conv_kernels_csv_is_numeric(workspace, tmp_path):
+    out = tmp_path / "interp_kernels"
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--out", str(out),
+    ])
+    assert rc == 0
+    kernels = training.load_checkpoint(workspace["checkpoint"])[0].params["caps.conv.w"].data
+    lines = (out / "conv_kernels.csv").read_text().splitlines()
+    assert lines[0] == "filter,ki,kj,channel,value"
+    assert len(lines) == kernels.size + 1
+    for line, index in zip(lines[1:], np.ndindex(kernels.shape)):
+        *ids, value = line.split(",")
+        assert tuple(int(v) for v in ids) == index
+        assert float(value) == kernels[index]
 
 
 def test_interpret_self_reference_r2_is_one(workspace, tmp_path):

@@ -264,6 +264,24 @@ def test_dunn_needs_two_eligible_classes():
         ev.dunn_index(np.array([[0.0], [1.0], [2.0]]), [1, 1, 2])
 
 
+def broadcast_dunn(features, labels):
+    """All-pairs (n, n, F) oracle of dunn_index, for small inputs only."""
+    labels = np.asarray(labels)
+    groups = [features[labels == c] for c in np.unique(labels) if (labels == c).sum() >= 2]
+    diameter = max(np.linalg.norm(g[:, None, :] - g[None, :, :], axis=-1).max()
+                   for g in groups)
+    centers = [g.mean(axis=0) for g in groups]
+    return float(min(np.linalg.norm(a - b) for i, a in enumerate(centers)
+                     for b in centers[i + 1 :]) / diameter)
+
+
+@pytest.mark.parametrize("n, f", [(40, 231), (12, 1561), (30, 400), (5, 3)])
+def test_dunn_equals_broadcast_oracle(rng, n, f):
+    feats = rng.normal(size=(3 * n, f))
+    labels = np.repeat([1, 2, 3], n)
+    assert ev.dunn_index(feats, labels) == broadcast_dunn(feats, labels)
+
+
 def test_dunn_scale_invariance(rng):
     feats = rng.normal(size=(20, 4))
     labels = rng.integers(1, 4, size=20)

@@ -190,3 +190,100 @@ def test_tracked_and_detached_forward_agree():
     assert isinstance(tracked["lengths"], ad.Tensor)
     assert isinstance(detached["lengths"], np.ndarray)
     np.testing.assert_array_equal(ad.value(tracked["lengths"]), detached["lengths"])
+
+
+# fully convolutional scene path ------------------------------------------
+
+
+def patch_path(mdl, cube, coords):
+    """Detached per-patch forward at ``coords``: the reference for the scene path."""
+    patches = data.extract_patch_batch(cube, coords, mdl.patch_size)
+    out = model_mod.forward(mdl.detached(), patches)
+    return {k: np.asarray(out[k]) for k in ("poses", "v", "lengths")}
+
+
+def assert_same_outputs(got, want):
+    np.testing.assert_array_equal(np.argmax(got["lengths"], axis=1),
+                                  np.argmax(want["lengths"], axis=1))
+    for key in ("poses", "v", "lengths"):
+        assert got[key].shape == want[key].shape
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-15)
+
+
+def all_pixels(cube):
+    return [(r, c) for r in range(cube.height) for c in range(cube.width)]
+
+
+def strided_setup(patch_size=11):
+    """tiny_setup's scene under stride-2 stage-2 convs (h1 = 5, h2 = 2)."""
+    cube, labels, cfg, _ = tiny_setup()
+    cfg.training.patch_size = patch_size
+    cfg.stage2.conv_stride = cfg.stage2.capsule_stride = 2
+    cfg.validate()
+    split = data.split_samples(labels, 0.5, 3)
+    return cube, training.build_model(cube, labels, split, cfg)
+
+
+def test_scene_forward_equals_patch_forward_everywhere():
+    cube, labels, cfg, mdl = tiny_setup()
+    coords = all_pixels(cube)  # corners and edges included
+    assert_same_outputs(model_mod.scene_forward(mdl, cube, coords, tile_rows=3),
+                        patch_path(mdl, cube, coords))
+
+
+def test_scene_forward_independent_of_tile_size():
+    cube, labels, cfg, mdl = tiny_setup()
+    coords = all_pixels(cube)
+    whole = model_mod.scene_forward(mdl, cube, coords, tile_rows=cube.height)
+    for tile_rows in (1, 2, 3):
+        assert_same_outputs(model_mod.scene_forward(mdl, cube, coords, tile_rows), whole)
+
+
+def test_scene_forward_sparse_coords_keep_their_order():
+    cube, labels, cfg, mdl = tiny_setup()
+    coords = [(7, 7), (0, 0), (3, 5), (0, 0), (7, 0), (3, 5), (1, 6)]
+    got = model_mod.scene_forward(mdl, cube, coords, tile_rows=2)
+    assert_same_outputs(got, patch_path(mdl, cube, coords))
+    np.testing.assert_array_equal(got["lengths"][1], got["lengths"][3])
+
+
+def test_scene_forward_on_scene_narrower_than_patch():
+    cube, labels, cfg, mdl = tiny_setup()
+    # a 3x2 crop under a 5-wide patch: the pad of 2 reflects more than once
+    narrow = data.HsiCube(3, 2, cube.bands, cube.wavelengths, cube.data[2:5, 4:6].copy())
+    coords = all_pixels(narrow)
+    for tile_rows in (1, 3):
+        assert_same_outputs(model_mod.scene_forward(mdl, narrow, coords, tile_rows),
+                            patch_path(mdl, narrow, coords))
+
+
+def test_scene_forward_with_stride_two_stages():
+    cube, mdl = strided_setup()
+    coords = all_pixels(cube)
+    want = patch_path(mdl, cube, coords)
+    assert want["poses"].shape[1] == mdl.config.stage2.capsules * 2 * 2
+    for tile_rows in (1, 3, cube.height):
+        assert_same_outputs(model_mod.scene_forward(mdl, cube, coords, tile_rows), want)
+
+
+def test_scene_forward_with_enhancement_off():
+    cube, labels, cfg, mdl = tiny_setup()
+    cfg.training.enhancement_on = False
+    mdl2 = training.build_model(cube, labels, data.split_samples(labels, 0.5, 3), cfg)
+    coords = all_pixels(cube)
+    assert_same_outputs(model_mod.scene_forward(mdl2, cube, coords, tile_rows=2),
+                        patch_path(mdl2, cube, coords))
+
+
+def test_scene_forward_empty_and_out_of_image_coords():
+    cube, labels, cfg, mdl = tiny_setup()
+    empty = model_mod.scene_forward(mdl, cube, [], tile_rows=2)
+    want = patch_path(mdl, cube, [(0, 0)])
+    for key in ("poses", "v", "lengths"):
+        assert empty[key].shape == (0,) + want[key].shape[1:]
+    try:
+        model_mod.scene_forward(mdl, cube, [(0, 0), (8, 0)], tile_rows=2)
+    except Exception as exc:
+        assert "outside" in str(exc)
+    else:
+        raise AssertionError("expected an out-of-image error")

@@ -318,6 +318,31 @@ def test_predict_map_constant_cube(tiny_dataset):
     assert len(np.unique(out)) == 1
 
 
+def test_predict_map_matches_patch_forward(tiny_dataset):
+    cube, labels, split = tiny_dataset
+    mdl = training.train(cube, labels, split, small_run_config(epochs=1)).model
+    coords = [(r, c) for r in range(cube.height) for c in range(cube.width)]
+    patches = data.extract_patch_batch(data.normalize_cube(cube), coords, mdl.patch_size)
+    want = np.argmax(model_mod.predict_lengths(mdl, patches), axis=1) + 1
+    np.testing.assert_array_equal(training.predict_map(mdl, cube).reshape(-1), want)
+
+
+def test_train_accuracy_pass_matches_patch_forward(tiny_dataset):
+    cube, labels, _ = tiny_dataset
+    split = data.split_samples(labels, 0.6, 5)
+    cfg = small_run_config(epochs=2)
+    cfg.training.learning_rate = 0.01  # leaves train and test OA apart, off one class
+    result = training.train(cube, labels, split, cfg)
+    norm = data.normalize_cube(cube)
+    _, _, train_oa, test_oa = result.history[-1]
+    for coords, oa in ((split.train_indices, train_oa), (split.test_indices, test_oa)):
+        patches = data.extract_patch_batch(norm, coords, 5)
+        pred = np.argmax(model_mod.predict_lengths(result.model, patches), axis=1) + 1
+        truth = np.array([labels.labels[r, c] for r, c in coords])
+        assert oa == float(np.mean(pred == truth))
+    assert train_oa != test_oa
+
+
 def test_predict_map_masking(tiny_dataset):
     cube, labels, split = tiny_dataset
     result = training.train(cube, labels, split, small_run_config())
