@@ -1,16 +1,24 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A :class:`Tensor` wraps a float64 ndarray and records the operation that
-produced it, so a scalar loss can be backpropagated to every parameter
-with ``backward(loss)``.
+A :class:`Tensor` wraps a float64 ndarray, so a scalar loss can be
+backpropagated to every parameter with ``backward(loss)``.
 
-Every op in this module also accepts plain numpy inputs: when no tracked
-tensor is involved the op evaluates eagerly and returns an ndarray.
-Numeric model code can therefore be written once and serve both the
-training graph and plain (inference / inspection) evaluation.
+Every op follows one rule: it computes its forward value with numpy and
+passes it to ``_node`` with one ``(input, vjp)`` pair per input, where
+``vjp`` maps the gradient of the output to the gradient of that input
+(a vector-Jacobian product). When no input is tracked, ``_node`` returns
+the plain ndarray, so numeric model code can be written once and serve
+both the training graph and plain (inference / inspection) evaluation.
+Otherwise it returns a Tensor that keeps the tracked pairs, and
+``backward`` walks them in reverse topological order, adding each VJP
+into its input's ``.grad``. An input passed twice receives both VJPs.
 
 Hinge-style kinks (relu, clip) use the zero-side subgradient.
 """
+
+import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +30,7 @@ NORM_EPS = 1e-40
 class Tensor:
     """Node of the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_inputs")
 
     # Keep numpy from interpreting Tensor operands elementwise.
     __array_ufunc__ = None
@@ -31,51 +39,10 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
+        self._inputs = ()  # tracked (input, vjp) pairs
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data):
@@ -95,7 +62,7 @@ def value(x):
 
 
 def _tracked(x):
-    return isinstance(x, Tensor) and (x.requires_grad or x._parents)
+    return isinstance(x, Tensor) and (x.requires_grad or x._inputs)
 
 
 def _val(x):
@@ -104,15 +71,13 @@ def _val(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _accum(node, g):
-    node.grad = g if node.grad is None else node.grad + g
-
-
-def _make(data, parents, backward):
-    """Internal node; ``parents`` must all be tracked tensors."""
-    t = Tensor(data)
-    t._parents = parents
-    t._backward = backward
+def _node(out, *pairs):
+    """``out``, or a Tensor holding it and the tracked ``(input, vjp)`` pairs."""
+    tracked = [pair for pair in pairs if _tracked(pair[0])]
+    if not tracked:
+        return out
+    t = Tensor(out)
+    t._inputs = tracked
     return t
 
 
@@ -138,79 +103,37 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     av, bv = _val(a), _val(b)
-    out = av + bv
-    if not (_tracked(a) or _tracked(b)):
-        return out
-
-    def bw(g):
-        if _tracked(a):
-            _accum(a, _unbroadcast(g, av.shape))
-        if _tracked(b):
-            _accum(b, _unbroadcast(g, bv.shape))
-
-    return _make(out, tuple(x for x in (a, b) if _tracked(x)), bw)
+    return _node(av + bv,
+                 (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
     av, bv = _val(a), _val(b)
-    out = av - bv
-    if not (_tracked(a) or _tracked(b)):
-        return out
-
-    def bw(g):
-        if _tracked(a):
-            _accum(a, _unbroadcast(g, av.shape))
-        if _tracked(b):
-            _accum(b, _unbroadcast(-g, bv.shape))
-
-    return _make(out, tuple(x for x in (a, b) if _tracked(x)), bw)
+    return _node(av - bv,
+                 (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
     av, bv = _val(a), _val(b)
-    out = av * bv
-    if not (_tracked(a) or _tracked(b)):
-        return out
-
-    def bw(g):
-        if _tracked(a):
-            _accum(a, _unbroadcast(g * bv, av.shape))
-        if _tracked(b):
-            _accum(b, _unbroadcast(g * av, bv.shape))
-
-    return _make(out, tuple(x for x in (a, b) if _tracked(x)), bw)
+    return _node(av * bv,
+                 (a, lambda g: _unbroadcast(g * bv, av.shape)),
+                 (b, lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b):
     av, bv = _val(a), _val(b)
-    out = av / bv
-    if not (_tracked(a) or _tracked(b)):
-        return out
-
-    def bw(g):
-        if _tracked(a):
-            _accum(a, _unbroadcast(g / bv, av.shape))
-        if _tracked(b):
-            _accum(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
-
-    return _make(out, tuple(x for x in (a, b) if _tracked(x)), bw)
+    return _node(av / bv,
+                 (a, lambda g: _unbroadcast(g / bv, av.shape)),
+                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
 
 
 def matmul(a, b):
     av, bv = _val(a), _val(b)
     if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("matmul supports 2-D operands only")
-    out = av @ bv
-    if not (_tracked(a) or _tracked(b)):
-        return out
-
-    def bw(g):
-        if _tracked(a):
-            _accum(a, g @ bv.T)
-        if _tracked(b):
-            _accum(b, av.T @ g)
-
-    return _make(out, tuple(x for x in (a, b) if _tracked(x)), bw)
+    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 # elementwise ----------------------------------------------------------
@@ -218,90 +141,24 @@ def matmul(a, b):
 
 def relu(x):
     xv = _val(x)
-    out = np.maximum(xv, 0.0)
-    if not _tracked(x):
-        return out
-    mask = xv > 0.0
-
-    def bw(g):
-        _accum(x, g * mask)
-
-    return _make(out, (x,), bw)
-
-
-def exp(x):
-    xv = _val(x)
-    out = np.exp(xv)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, g * out)
-
-    return _make(out, (x,), bw)
-
-
-def log(x):
-    xv = _val(x)
-    out = np.log(xv)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, g / xv)
-
-    return _make(out, (x,), bw)
+    return _node(np.maximum(xv, 0.0), (x, lambda g: g * (xv > 0.0)))
 
 
 def sqrt(x):
-    xv = _val(x)
-    out = np.sqrt(xv)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, g * 0.5 / out)
-
-    return _make(out, (x,), bw)
-
-
-def power(x, p):
-    xv = _val(x)
-    out = xv**p
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, g * p * xv ** (p - 1))
-
-    return _make(out, (x,), bw)
+    out = np.sqrt(_val(x))
+    return _node(out, (x, lambda g: g * 0.5 / out))
 
 
 def clip(x, lo, hi):
     """Clamp to [lo, hi]; gradient passes only strictly inside."""
     xv = _val(x)
-    out = np.clip(xv, lo, hi)
-    if not _tracked(x):
-        return out
-    mask = (xv > lo) & (xv < hi)
-
-    def bw(g):
-        _accum(x, g * mask)
-
-    return _make(out, (x,), bw)
+    return _node(np.clip(xv, lo, hi), (x, lambda g: g * ((xv > lo) & (xv < hi))))
 
 
 def signed_guard(x, eps):
     """x + eps*sign(x), with sign(0) = +1; derivative treated as 1."""
     xv = _val(x)
-    out = xv + np.where(xv >= 0.0, eps, -eps)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, g)
-
-    return _make(out, (x,), bw)
+    return _node(xv + np.where(xv >= 0.0, eps, -eps), (x, lambda g: g))
 
 
 # reductions -----------------------------------------------------------
@@ -320,29 +177,15 @@ def _expand_reduced(g, shape, axis, keepdims):
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - module namespace op
     xv = _val(x)
-    out = np.sum(xv, axis=axis, keepdims=keepdims)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, _expand_reduced(g, xv.shape, axis, keepdims))
-
-    return _make(out, (x,), bw)
+    return _node(np.sum(xv, axis=axis, keepdims=keepdims),
+                 (x, lambda g: _expand_reduced(g, xv.shape, axis, keepdims)))
 
 
 def mean(x, axis=None, keepdims=False):
     xv = _val(x)
     out = np.mean(xv, axis=axis, keepdims=keepdims)
-    if not _tracked(x):
-        return out
-    count = xv.size if axis is None else np.prod(
-        [xv.shape[a % xv.ndim] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-
-    def bw(g):
-        _accum(x, _expand_reduced(g / count, xv.shape, axis, keepdims))
-
-    return _make(out, (x,), bw)
+    count = xv.size // max(np.size(out), 1)  # elements averaged into each output
+    return _node(out, (x, lambda g: _expand_reduced(g / count, xv.shape, axis, keepdims)))
 
 
 # shape ops ------------------------------------------------------------
@@ -350,111 +193,67 @@ def mean(x, axis=None, keepdims=False):
 
 def reshape(x, shape):
     xv = _val(x)
-    out = xv.reshape(shape)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, g.reshape(xv.shape))
-
-    return _make(out, (x,), bw)
+    return _node(xv.reshape(shape), (x, lambda g: g.reshape(xv.shape)))
 
 
 def transpose(x, axes=None):
-    xv = _val(x)
-    out = np.transpose(xv, axes)
-    if not _tracked(x):
-        return out
-    inv = None if axes is None else np.argsort(axes)
-
-    def bw(g):
-        _accum(x, np.transpose(g, inv))
-
-    return _make(out, (x,), bw)
+    return _node(np.transpose(_val(x), axes),
+                 (x, lambda g: np.transpose(g, None if axes is None else np.argsort(axes))))
 
 
 def expand_dims(x, axis):
     xv = _val(x)
-    out = np.expand_dims(xv, axis)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        _accum(x, g.reshape(xv.shape))
-
-    return _make(out, (x,), bw)
+    return _node(np.expand_dims(xv, axis), (x, lambda g: g.reshape(xv.shape)))
 
 
 def concat(xs, axis):
     vals = [_val(x) for x in xs]
-    out = np.concatenate(vals, axis=axis)
-    if not any(_tracked(x) for x in xs):
-        return out
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((v.shape[axis] for v in vals), initial=0))
 
-    def bw(g):
-        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            if _tracked(x):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accum(x, g[tuple(idx)])
+    def part(lo, hi):
+        return lambda g: g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)]
 
-    return _make(out, tuple(x for x in xs if _tracked(x)), bw)
+    return _node(np.concatenate(vals, axis=axis),
+                 *((x, part(lo, hi)) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])))
 
 
 # sliding windows (valid convolution support) --------------------------
 
 
-def unfold1d(x, width, stride=1):
-    """(P, L, C) -> (P, L1, width*C) sliding windows along L."""
+@lru_cache(maxsize=128)
+def _window_picks(shape, size, stride):
+    """Window and output shapes of ``unfold``, and per window offset, in
+    row-major order, the (window index, source slice of x) pair it copies."""
+    n, *dims, c = shape
+    outs = [(d - k) // stride + 1 for d, k in zip(dims, size)]
+    spans = [[slice(o, o + stride * m, stride) for o in range(k)] for k, m in zip(size, outs)]
+    picks = tuple(((..., *off, slice(None)), (slice(None), *src))
+                  for off, src in zip(itertools.product(*map(range, size)),
+                                      itertools.product(*spans)))
+    return (n, *outs, *size, c), (n, *outs, math.prod(size) * c), picks
+
+
+def unfold(x, size, stride):
+    """Sliding windows over the spatial axes of a channels-last batch.
+
+    ``size`` is the tuple ``(w,)`` for (P, L, C) -> (P, L1, w*C), or
+    ``(k, k)`` for (N, H, W, C) -> (N, H1, W1, k*k*C). Windows are copied
+    one offset at a time, and the backward scatter-adds in the same order.
+    """
     xv = _val(x)
-    P, L, C = xv.shape
-    L1 = (L - width) // stride + 1
-    windows = np.empty((P, L1, width, C), dtype=np.float64)
-    for t in range(width):
-        windows[:, :, t, :] = xv[:, t : t + stride * L1 : stride, :]
-    out = windows.reshape(P, L1, width * C)
-    if not _tracked(x):
-        return out
+    win_shape, out_shape, picks = _window_picks(xv.shape, size, stride)
+    windows = np.empty(win_shape, dtype=np.float64)
+    for at, src in picks:
+        windows[at] = xv[src]
 
-    def bw(g):
-        gw = g.reshape(P, L1, width, C)
+    def vjp(g):
+        gw = g.reshape(win_shape)
         gx = np.zeros_like(xv)
-        for t in range(width):
-            gx[:, t : t + stride * L1 : stride, :] += gw[:, :, t, :]
-        _accum(x, gx)
+        for at, src in picks:
+            gx[src] += gw[at]
+        return gx
 
-    return _make(out, (x,), bw)
-
-
-def unfold2d(x, k, stride=1):
-    """(N, H, W, C) -> (N, H1, W1, k*k*C) sliding windows over H, W."""
-    xv = _val(x)
-    N, H, W, C = xv.shape
-    H1 = (H - k) // stride + 1
-    W1 = (W - k) // stride + 1
-    windows = np.empty((N, H1, W1, k, k, C), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            windows[:, :, :, i, j, :] = xv[
-                :, i : i + stride * H1 : stride, j : j + stride * W1 : stride, :
-            ]
-    out = windows.reshape(N, H1, W1, k * k * C)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        gw = g.reshape(N, H1, W1, k, k, C)
-        gx = np.zeros_like(xv)
-        for i in range(k):
-            for j in range(k):
-                gx[:, i : i + stride * H1 : stride, j : j + stride * W1 : stride, :] += gw[
-                    :, :, :, i, j, :
-                ]
-        _accum(x, gx)
-
-    return _make(out, (x,), bw)
+    return _node(windows.reshape(out_shape), (x, vjp))
 
 
 # softmax and norms ----------------------------------------------------
@@ -465,14 +264,7 @@ def softmax(x, axis=-1):
     shifted = xv - np.max(xv, axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / np.sum(e, axis=axis, keepdims=True)
-    if not _tracked(x):
-        return out
-
-    def bw(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
-        _accum(x, out * (g - inner))
-
-    return _make(out, (x,), bw)
+    return _node(out, (x, lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True))))
 
 
 def norm(x, axis=-1, keepdims=False):
@@ -497,7 +289,7 @@ def _toposort(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p, _ in node._inputs:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
@@ -517,5 +309,6 @@ def backward(loss):
         node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+        for x, vjp in node._inputs:
+            g = vjp(node.grad)
+            x.grad = g if x.grad is None else x.grad + g

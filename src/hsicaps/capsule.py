@@ -24,7 +24,7 @@ def conv2d_batch(x, weights, bias, stride, activation):
         raise DataError(f"conv2d channel mismatch: input {C}, weights {Cw}")
     if H < k or W < k:
         raise DataError(f"spatial extent {H}x{W} smaller than kernel {k}")
-    cols = ad.unfold2d(x, k, stride)  # (N, H1, W1, k*k*C)
+    cols = ad.unfold(x, (k, k), stride)  # (N, H1, W1, k*k*C)
     _, H1, W1, _ = ad.shape_of(cols)
     wmat = ad.transpose(ad.reshape(weights, (J, k * k * C)))
     flat = ad.matmul(ad.reshape(cols, (-1, k * k * C)), wmat)

@@ -228,10 +228,6 @@ def _cmd_interpret(args) -> int:
                                                   cfg.training.enhancement_on))
     names = spectral.feature_names(x1.shape[1], mdl.tri_combos, cfg.training.enhancement_on)
 
-    entropy_per_class = {
-        int(cls): evaluation.shannon_entropy(feats[labs == cls])
-        for cls in np.unique(labs)
-    }
     try:
         dunn = evaluation.dunn_index(feats, labs)
     except DataError:
@@ -244,10 +240,9 @@ def _cmd_interpret(args) -> int:
     else:
         defs = evaluation.available_indices(cube.wavelengths)
         ref_names = [d.name for d in defs]
-        ref_values = np.array([
-            [evaluation.vegetation_index(cube.data[r, c, :], cube.wavelengths, d)
-             for d in defs]
-            for r, c in coords
+        ref_values = np.column_stack([
+            evaluation.vegetation_index(cube.data[rows, cols], cube.wavelengths, d)
+            for d in defs
         ]) if defs else np.zeros((len(coords), 0))
 
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
@@ -304,13 +299,9 @@ def _cmd_interpret(args) -> int:
         fh.writelines(f"{j},{a},{b},{ch},{v!r}\n"
                       for (j, a, b, ch), v in zip(index, kernels.ravel().tolist()))
 
-    capsule_entropy = {
-        int(cls): evaluation.shannon_entropy(np.abs(activities[labs == cls]))
-        for cls in np.unique(labs)
-    }
     report = evaluation.InterpretabilityReport(
-        entropy_per_class=entropy_per_class,
-        capsule_entropy_per_class=capsule_entropy,
+        entropy_per_class=evaluation.entropy_per_class(feats, labs),
+        capsule_entropy_per_class=evaluation.entropy_per_class(activities, labs),
         dunn=dunn,
         r_squared_best=best,
         references=tuple(ref_names),

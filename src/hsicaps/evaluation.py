@@ -154,6 +154,12 @@ def shannon_entropy(class_features, base: str = "e") -> float:
     return e
 
 
+def entropy_per_class(values, labels) -> dict:
+    """``shannon_entropy`` of the rows of ``values`` for each class in ``labels``."""
+    labs = np.asarray(labels).reshape(-1)
+    return {int(cls): shannon_entropy(values[labs == cls]) for cls in np.unique(labs)}
+
+
 def dunn_index(features, labels) -> float:
     """Minimum inter-class center distance over maximum intra-class
     diameter. Classes need >= 2 samples to be eligible; at least two
@@ -226,15 +232,16 @@ def index_by_name(name: str) -> VegetationIndexDef:
 
 
 def vegetation_index(spectrum, wavelengths, index: VegetationIndexDef,
-                     tolerance_nm: float = 10.0) -> float:
-    """Evaluate an index on one spectrum using nearest-band lookup.
+                     tolerance_nm: float = 10.0):
+    """Evaluate an index on (..., B) spectra using nearest-band lookup.
 
-    Every required wavelength must lie within ``tolerance_nm`` of some
-    band center, otherwise a DataError names the index and wavelength.
+    One spectrum gives a float; a stack gives an array of its leading
+    shape. Every required wavelength must lie within ``tolerance_nm`` of
+    some band center, otherwise a DataError names the index and wavelength.
     """
-    spec = np.asarray(spectrum, dtype=np.float64).reshape(-1)
+    spec = np.asarray(spectrum, dtype=np.float64)
     wl = np.asarray(wavelengths, dtype=np.float64).reshape(-1)
-    if spec.size != wl.size:
+    if spec.shape[-1:] != wl.shape:
         raise DataError("spectrum/wavelength length mismatch")
     refl = {}
     for need in index.wavelengths:
@@ -244,10 +251,11 @@ def vegetation_index(spectrum, wavelengths, index: VegetationIndexDef,
                 f"wavelength unavailable for {index.name}: {need} nm "
                 f"(nearest band {wl[pos]} nm)"
             )
-        # IEEE semantics at formula poles (e.g. a zero denominator band)
-        refl[need] = np.float64(spec[pos])
+        refl[need] = spec[..., pos]
+    # IEEE semantics at formula poles (e.g. a zero denominator band)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(index.formula(refl))
+        out = index.formula(refl)
+    return float(out) if spec.ndim == 1 else out
 
 
 def available_indices(wavelengths, tolerance_nm: float = 10.0):

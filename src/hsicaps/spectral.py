@@ -90,7 +90,7 @@ def conv1d_batch(x, weights, bias, stride):
         raise DataError(f"conv1d channel mismatch: input {C}, weights {Cw}")
     if L < rm:
         raise DataError(f"signal length {L} shorter than receptive field {rm}")
-    cols = ad.unfold1d(x, rm, stride)  # (P, L1, rm*C)
+    cols = ad.unfold(x, (rm,), stride)  # (P, L1, rm*C)
     wmat = ad.reshape(ad.transpose(weights, (2, 1, 0)), (rm * C, J))
     return ad.add(matmul_last(cols, wmat), bias)
 

@@ -273,20 +273,17 @@ def predict_map(mdl: model_mod.Model, cube: data.HsiCube, coords=None) -> np.nda
 
 
 def capsule_activity_entropy(mdl: model_mod.Model, cube: data.HsiCube,
-                             labels: data.LabelMap, coords, base: str = "e") -> float:
+                             labels: data.LabelMap, coords) -> float:
     """Mean per-class entropy of |class-capsule activities| at ``coords``.
 
     The activity tensor has the same width for every ablation variant,
     so this value is comparable across them.
     """
-    from .evaluation import shannon_entropy
+    from .evaluation import entropy_per_class
 
     v = model_mod.scene_forward(mdl, data.normalize_cube(cube), coords)["v"]
-    acts = v.reshape(v.shape[0], -1)
-    labs = data.pixels_at(labels.labels, coords)
-    ents = [shannon_entropy(acts[labs == cls], base=base)
-            for cls in np.unique(labs) if cls > 0]
-    return float(np.mean(ents))
+    ents = entropy_per_class(v.reshape(v.shape[0], -1), data.pixels_at(labels.labels, coords))
+    return float(np.mean([e for cls, e in ents.items() if cls > 0]))
 
 
 # checkpoints ------------------------------------------------------------

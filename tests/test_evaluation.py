@@ -236,6 +236,15 @@ def test_entropy_base2():
     assert ev.shannon_entropy(np.ones((1, 4)), base="2") == pytest.approx(2.0)
 
 
+def test_entropy_per_class_matches_per_class_calls(rng):
+    feats = rng.normal(size=(12, 5))
+    labs = np.array([3, 1, 1, 2, 3, 3, 1, 2, 2, 1, 3, 2])
+    got = ev.entropy_per_class(feats, labs)
+    assert list(got) == [1, 2, 3]
+    for cls, e in got.items():
+        assert e == ev.shannon_entropy(feats[labs == cls])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(st.floats(min_value=-5, max_value=5), min_size=3, max_size=3),
                 min_size=1, max_size=6))
@@ -361,6 +370,22 @@ def test_all_nine_indices_match_oracles(rng):
         for idx in ev.BUILTIN_INDICES:
             got = ev.vegetation_index(spec, wl, idx)
             assert got == pytest.approx(oracle[idx.name], rel=1e-12), idx.name
+
+
+def test_vegetation_index_stack_equals_per_pixel_calls(rng):
+    needed = sorted({w for idx in ev.BUILTIN_INDICES for w in idx.wavelengths})
+    wl = np.array(needed)
+    spectra = rng.uniform(0.02, 0.98, size=(3, 4, wl.size))
+    spectra[0, 0] = 0.0  # every denominator zero: 0/0 and x/0 poles
+    spectra[1, 2, needed.index(560.0)] = 0.0  # CIred-edge divides by zero
+    for idx in ev.BUILTIN_INDICES:
+        stacked = ev.vegetation_index(spectra, wl, idx)
+        assert stacked.shape == (3, 4)
+        per_pixel = np.array([[ev.vegetation_index(spectra[i, j], wl, idx)
+                               for j in range(4)] for i in range(3)])
+        assert np.array_equal(stacked, per_pixel, equal_nan=True), idx.name
+    assert np.isinf(ev.vegetation_index(spectra[1, 2], wl, ev.index_by_name("CIred-edge")))
+    assert isinstance(ev.vegetation_index(spectra[1, 1], wl, ev.BUILTIN_INDICES[0]), float)
 
 
 def test_available_indices_on_vnir():
