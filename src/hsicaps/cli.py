@@ -53,30 +53,6 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_map_csv(path, arr):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-
-def _load_map_csv(path):
-    """Plain integer grid; unlike labels, any ids are allowed."""
-    if not os.path.exists(path):
-        raise DataError(f"class map not found: {path}")
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                try:
-                    rows.append([int(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise DataError(f"malformed class map {path}: {exc}") from exc
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise DataError(f"malformed class map {path}")
-    return np.array(rows, dtype=np.int64)
-
-
 def write_pgm(path, class_map, n_class: int):
     """8-bit binary PGM; gray level = class_id * (255 // n_class)."""
     scale = 255 // max(1, n_class)
@@ -154,14 +130,12 @@ def _cmd_evaluate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     mcnemar_result = None
     if args.compare:
-        other_map = _load_map_csv(args.compare)
+        other_map = data.read_grid_csv(args.compare, "class map")  # any ids allowed
         if other_map.shape != (cube.height, cube.width):
             raise DataError("comparison map shape does not match cube")
         other = data.pixels_at(other_map, coords)
         try:
-            chi2, band = evaluation.mcnemar(truth, pred, other)
-            f12 = int(np.sum((pred == truth) & (other != truth)))
-            f21 = int(np.sum((pred != truth) & (other == truth)))
+            chi2, band, f12, f21 = evaluation.mcnemar(truth, pred, other)
             mcnemar_result = {"chi2": chi2, "band": band, "f12": f12, "f21": f21}
             with open(os.path.join(out_dir, "mcnemar.csv"), "w", encoding="utf-8") as fh:
                 fh.write("classifier_a,classifier_b,f12,f21,chi2,band\n")
@@ -182,7 +156,7 @@ def _cmd_predict(args) -> int:
     class_map = training.predict_map(mdl, cube)
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_map_csv(os.path.join(out_dir, "map.csv"), class_map)
+    data.write_grid_csv(class_map, os.path.join(out_dir, "map.csv"))
     write_pgm(os.path.join(out_dir, "map.pgm"), class_map, mdl.n_class)
     print(f"classified {class_map.size} pixels into {mdl.n_class} classes")
     return EXIT_OK
@@ -208,6 +182,16 @@ def _read_references(path, coords):
     return names, values
 
 
+def _write_pixel_csv(path, columns, coords, labs, values):
+    """Header 'row,col,label,<columns>', then one line per pixel: its
+    coordinates, label and the repr of each float in its row of ``values``.
+    Rows are converted one at a time, so no list of the whole array is built."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("row,col,label," + ",".join(columns) + "\n")
+        fh.writelines(f"{r},{c},{lab}," + ",".join(map(repr, vec.tolist())) + "\n"
+                      for (r, c), lab, vec in zip(coords, labs.tolist(), values))
+
+
 def _cmd_interpret(args) -> int:
     mdl, cfg, manifest = training.load_checkpoint(args.checkpoint)
     cube, labels = _load_dataset(args.cube, args.labels)
@@ -222,11 +206,9 @@ def _cmd_interpret(args) -> int:
     labs = labels.labels[rows, cols]
 
     # Pixel-level enhanced features (no spatial context needed).
-    spectra = norm_cube.data[rows, cols].astype(np.float64)
-    x1 = np.asarray(spectral.base_features(spectra, detached))
-    feats = np.asarray(spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
-                                                  cfg.training.enhancement_on))
-    names = spectral.feature_names(x1.shape[1], mdl.tri_combos, cfg.training.enhancement_on)
+    feats = np.asarray(spectral.pixel_features(norm_cube.data[rows, cols], detached))
+    names = spectral.feature_names(len(mdl.slices.non_empty()) * mdl.n_class,
+                                   mdl.tri_combos, cfg.training.enhancement_on)
 
     try:
         dunn = evaluation.dunn_index(feats, labs)
@@ -268,29 +250,19 @@ def _cmd_interpret(args) -> int:
             if top[0] is not None:
                 best[ref] = {"feature": top[0], "r2": top[1]}
 
-    with open(os.path.join(out_dir, "features.csv"), "w", encoding="utf-8") as fh:
-        fh.write("row,col,label," + ",".join(names) + "\n")
-        for (r, c), lab, vec in zip(coords, labs, feats):
-            fh.write(f"{r},{c},{lab}," + ",".join(repr(float(v)) for v in vec) + "\n")
+    _write_pixel_csv(os.path.join(out_dir, "features.csv"), names, coords, labs, feats)
 
     # Capsule-level exports need each pixel's patch neighbourhood.
     scene = model_mod.scene_forward(mdl, norm_cube, labelled)
     poses, lengths = scene["poses"], scene["lengths"]
     activities = scene["v"].reshape(len(coords), -1)
 
-    with open(os.path.join(out_dir, "lengths.csv"), "w", encoding="utf-8") as fh:
-        fh.write("row,col,label," + ",".join(
-            f"len_{i + 1}" for i in range(mdl.n_class)) + "\n")
-        for (r, c), lab, vec in zip(coords, labs, lengths):
-            fh.write(f"{r},{c},{lab}," + ",".join(repr(float(v)) for v in vec) + "\n")
-
-    m_count, k_dim = poses.shape[1], poses.shape[2]
-    with open(os.path.join(out_dir, "poses.csv"), "w", encoding="utf-8") as fh:
-        fh.write("row,col,label," + ",".join(
-            f"pose_{m + 1}_{k + 1}" for m in range(m_count) for k in range(k_dim)) + "\n")
-        for (r, c), lab, mat in zip(coords, labs, poses):
-            flat = mat.reshape(-1)
-            fh.write(f"{r},{c},{lab}," + ",".join(repr(float(v)) for v in flat) + "\n")
+    _write_pixel_csv(os.path.join(out_dir, "lengths.csv"),
+                     [f"len_{i + 1}" for i in range(mdl.n_class)], coords, labs, lengths)
+    _, m_count, k_dim = poses.shape
+    _write_pixel_csv(os.path.join(out_dir, "poses.csv"),
+                     [f"pose_{m + 1}_{k + 1}" for m in range(m_count) for k in range(k_dim)],
+                     coords, labs, poses.reshape(len(coords), -1))
 
     kernels = detached.params["caps.conv.w"]
     with open(os.path.join(out_dir, "conv_kernels.csv"), "w", encoding="utf-8") as fh:
@@ -318,7 +290,7 @@ def _cmd_interpret(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    report = training.gradcheck(cfg, _fault=args.self_test_fault)
+    report = training.gradcheck(cfg)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck: max relative error {report.max_rel_error:.3e} over "
           f"{report.n_checked} coordinates (tolerance {report.tolerance:.0e}, "
@@ -366,7 +338,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--config")
-    p.add_argument("--self-test-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_gradcheck)
 
     return parser

@@ -212,10 +212,12 @@ def load_cube(header_path: str) -> HsiCube:
     return HsiCube(h, w, b, wavelengths, data)
 
 
-def load_labels(csv_path: str) -> LabelMap:
-    """Label map CSV: H rows of W comma-separated non-negative ints."""
+def read_grid_csv(csv_path: str, name: str) -> np.ndarray:
+    """Integer-grid CSV, the format of label and class maps: H rows of W
+    comma-separated ints, blank lines skipped. ``name`` ("label file",
+    "class map") leads the not-found and malformed-file errors."""
     if not os.path.exists(csv_path):
-        raise DataError(f"label file not found: {csv_path}")
+        raise DataError(f"{name} not found: {csv_path}")
     rows = []
     with open(csv_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -225,19 +227,22 @@ def load_labels(csv_path: str) -> LabelMap:
             try:
                 rows.append([int(tok) for tok in line.split(",")])
             except ValueError as exc:
-                raise DataError(f"bad label at line {line_no}: {exc}") from exc
-    if not rows:
-        raise DataError("empty label file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError("ragged label rows")
-    return labelmap_from_array(np.array(rows, dtype=np.int64))
+                raise DataError(f"malformed {name} {csv_path} at line {line_no}: {exc}") from exc
+    if not rows or len({len(r) for r in rows}) != 1:
+        raise DataError(f"malformed {name} {csv_path}: " + ("ragged rows" if rows else "no rows"))
+    return np.array(rows, dtype=np.int64)
 
 
-def write_labels(labels: LabelMap, csv_path: str) -> None:
+def write_grid_csv(grid, csv_path: str) -> None:
+    """Write an (H, W) integer grid in the format ``read_grid_csv`` reads."""
     with open(csv_path, "w", encoding="utf-8") as fh:
-        for row in labels.labels:
+        for row in grid:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
+
+
+def load_labels(csv_path: str) -> LabelMap:
+    """Label map CSV: H rows of W comma-separated non-negative ints."""
+    return labelmap_from_array(read_grid_csv(csv_path, "label file"))
 
 
 # core operations ------------------------------------------------------

@@ -102,11 +102,12 @@ def sens_spec(cm: ConfusionMatrix, cls: int):
 
 
 def mcnemar(truth, pred_a, pred_b):
-    """Continuity-corrected McNemar chi-squared plus its star band.
+    """Continuity-corrected McNemar test: (chi2, band, f12, f21).
 
-    chi2 = (|f12 - f21| - 1)^2 / (f12 + f21) over discordant pairs,
-    skipping unlabeled (truth 0) pixels. Bands: *** chi2 >= 6.635,
-    ** >= 3.841, * >= 2.706, else NS.
+    f12 counts pixels only A gets right, f21 those only B gets right,
+    skipping unlabeled (truth 0) pixels; chi2 = (|f12 - f21| - 1)^2 /
+    (f12 + f21). Bands: *** chi2 >= 6.635, ** >= 3.841, * >= 2.706,
+    else NS.
     """
     t = np.asarray(truth, dtype=np.int64).reshape(-1)
     a = np.asarray(pred_a, dtype=np.int64).reshape(-1)
@@ -117,7 +118,7 @@ def mcnemar(truth, pred_a, pred_b):
     t, a, b = t[keep], a[keep], b[keep]
     f12 = int(np.sum((a == t) & (b != t)))
     f21 = int(np.sum((a != t) & (b == t)))
-    return mcnemar_from_counts(f12, f21)
+    return (*mcnemar_from_counts(f12, f21), f12, f21)
 
 
 def mcnemar_from_counts(f12: int, f21: int):

@@ -3,9 +3,9 @@
 All parameters live in one ordered ``dict[name, array | Tensor]``. Its
 insertion order, written down once in ``param_spec``, is both the rng
 draw order at init and the checkpoint order. The forward pass maps a
-batch of patches to class-capsule activities: per-pixel slice features
--> index enhancement -> spatial convolution -> primary capsules ->
-routed class capsules. With tracked parameters the same code builds the
+batch of patches to class-capsule activities: per-pixel stage-1 features
+(``spectral.pixel_features``) -> spatial convolution -> primary capsules
+-> routed class capsules. With tracked parameters the same code builds the
 training graph; with detached parameters it runs as plain numpy.
 Inference runs the same layers fully convolutionally over row tiles of a
 whole scene (``scene_forward``), so each pixel's spectrum is processed once.
@@ -129,17 +129,16 @@ class Model:
         return Model(params, self.config, self.slices, self.n_class, self.tri_combos)
 
 
-def init_model(slices, n_class: int, run_cfg, rng, tri_combos=None) -> Model:
+def init_model(slices, n_class: int, run_cfg, rng, tri_cap: int = None) -> Model:
     """Build a seeded model for an already-segmented slice set.
 
-    ``tri_combos`` freezes a fitted triangular-feature subset; None keeps
-    every triple.
+    ``tri_cap`` sizes the registry for that many kept triples (None keeps
+    every triple); the caller then sets the fitted ``tri_combos``.
     """
-    cap = None if tri_combos is None else int(tri_combos.shape[0])
-    params = init_params(param_spec(slices, n_class, run_cfg, cap), rng)
+    params = init_params(param_spec(slices, n_class, run_cfg, tri_cap), rng)
     # forward reads strides, routing and enhancement from the config, so the
     # model owns a copy that later edits of the caller's config cannot reach
-    return Model(params, copy.deepcopy(run_cfg), slices, n_class, tri_combos)
+    return Model(params, copy.deepcopy(run_cfg), slices, n_class)
 
 
 def forward(model: Model, patches: np.ndarray):
@@ -150,9 +149,9 @@ def forward(model: Model, patches: np.ndarray):
         patches: (N, s, s, B) reflectance windows.
 
     Returns:
-        dict with x1 (N*s*s, base), features (N*s*s, F_N), poses
-        (N, M, K), v (N, n_class, D) and lengths (N, n_class); entries are
-        tensors when the model parameters are tracked.
+        dict with poses (N, M, K), v (N, n_class, D) and lengths
+        (N, n_class), the keys of ``scene_forward``; entries are tensors
+        when the model parameters are tracked.
     """
     N, s1, s2, B = patches.shape
     if s1 != model.patch_size or s2 != model.patch_size:
@@ -160,16 +159,13 @@ def forward(model: Model, patches: np.ndarray):
             f"patch shape {s1}x{s2} does not match model patch size {model.patch_size}"
         )
     p, cfg = model.params, model.config
-    pixels = patches.reshape(N * s1 * s2, B).astype(np.float64)
-    x1 = spectral.base_features(pixels, model)
-    feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, model.tri_combos,
-                                       cfg.training.enhancement_on)
+    feats = spectral.pixel_features(patches.reshape(N * s1 * s2, B), model)
     fmap = ad.reshape(feats, (N, s1, s2, model.f_n))
     o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"],
                              cfg.stage2.conv_stride, "relu")
     poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], cfg.stage2.capsules,
                                            cfg.stage2.capsule_stride)
-    return {"x1": x1, "features": feats, **_class_capsules(model, poses)}
+    return _class_capsules(model, poses)
 
 
 def _class_capsules(model: Model, poses) -> dict:
@@ -197,8 +193,7 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
     duplicates included.
     """
     mdl = model.detached()
-    p, cfg, size = mdl.params, mdl.config, mdl.patch_size
-    s2 = cfg.stage2
+    p, s2, size = mdl.params, mdl.config.stage2, mdl.patch_size
     st1, st2 = s2.conv_stride, s2.capsule_stride
     h2 = ((size - s2.conv_kernel) // st1 + 1 - s2.capsule_kernel) // st2 + 1
     span = (h2 - 1) * st2 + 1
@@ -213,9 +208,7 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
         r0 = tile * tile_rows
         rows = padded[r0 : r0 + tile_rows + size - 1]
         R, W, B = rows.shape
-        x1 = spectral.base_features(rows.reshape(R * W, B).astype(np.float64), mdl)
-        feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
-                                           cfg.training.enhancement_on)
+        feats = spectral.pixel_features(rows.reshape(R * W, B), mdl)
         o = capsule.conv2d_batch(feats.reshape(1, R, W, mdl.f_n), p["caps.conv.w"],
                                  p["caps.conv.b"], 1, "relu")
         lr, lc = rc[ids, 0] - r0, rc[ids, 1]

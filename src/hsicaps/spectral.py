@@ -16,8 +16,9 @@ sequences, so it has rank b - 2 for b base features: all C(b,3) triangle
 features, and any capped subset, span at most b - 2 directions (19 at b = 21).
 
 The head of the i-th non-empty slice reads its weights from the model's
-parameter registry under ``spectral.<i>.*``. All forward routines run on
-plain arrays or on autodiff tensors.
+parameter registry under ``spectral.<i>.*``. ``pixel_features`` is the one
+composition of heads and enhancement that every caller uses. All forward
+routines run on plain arrays or on autodiff tensors.
 """
 
 import itertools
@@ -201,6 +202,18 @@ def enhanced_features(x1, epsilon: float = 1e-8, tri_combos=None, enabled: bool 
     x2 = binary_index(x1, epsilon)
     x3 = triangular_index(x1, tri_combos)
     return ad.concat([x1, x2, x3], axis=1)
+
+
+def pixel_features(pixels, model):
+    """(P, B) spectra -> (P, F_N) stage-1 features of ``model``.
+
+    The one composition of the slice heads and the index enhancement,
+    under the model's epsilon, fitted triples and enhancement flag.
+    """
+    cfg = model.config
+    x1 = base_features(np.asarray(pixels, dtype=np.float64), model)
+    return enhanced_features(x1, cfg.stage1.epsilon, model.tri_combos,
+                             cfg.training.enhancement_on)
 
 
 def feature_names(base: int, tri_combos=None, enabled: bool = True) -> list:

@@ -65,5 +65,5 @@ def write_dataset(directory: str, cube: data.HsiCube, labels: data.LabelMap):
     header = os.path.join(directory, "cube.json")
     data.write_cube(cube, header)
     label_path = os.path.join(directory, "labels.csv")
-    data.write_labels(labels, label_path)
+    data.write_grid_csv(labels.labels, label_path)
     return header, label_path

@@ -2,13 +2,17 @@
 
 The loss is a per-class hinge on capsule lengths plus a weighted MSE
 between a masked-capsule reconstruction and the one-hot center label.
-Gradients come from the reverse-mode graph; a central finite-difference
-comparator provides the independent check used by ``gradcheck``.
+Every gradient, in training and in ``gradcheck``, comes from one
+reverse-mode step, ``compute_gradients``; a central finite-difference
+comparator provides the independent check used by ``gradcheck``. The
+triangular cap is fitted on the initial slice heads of the model it
+belongs to.
 Checkpoints store the parameter registry in its spec order; loading is
 exact against that spec or raises.
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -71,7 +75,7 @@ def reconstruct(v, onehot, params):
 
 
 def batch_loss(mdl: model_mod.Model, patches, targets, cfg):
-    """Mean total loss of a batch; returns (loss, forward dict).
+    """Mean total loss of a batch.
 
     ``targets`` are 1-based class ids; ``cfg`` is a TrainConfig.
     """
@@ -82,7 +86,7 @@ def batch_loss(mdl: model_mod.Model, patches, targets, cfg):
     margin = ad.mean(margin_loss(out["lengths"], onehot, cfg.margin))
     recon = reconstruct(out["v"], onehot, mdl.params)
     rloss = reconstruction_loss(recon, onehot)
-    return total_loss(margin, rloss, cfg.reconstruction_weight), out
+    return total_loss(margin, rloss, cfg.reconstruction_weight)
 
 
 # gradients ------------------------------------------------------------
@@ -99,8 +103,7 @@ def compute_gradients(loss_fn, params):
     if not np.isfinite(lv):
         raise NumericError(f"non-finite loss {lv}")
     ad.backward(loss)
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    return lv, grads
+    return lv, [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
 
 
 def finite_difference_gradient(loss_fn, params, param_idx, flat_idx, h: float = 1e-5):
@@ -165,26 +168,23 @@ def build_model(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSpl
                 config: RunConfig) -> model_mod.Model:
     """Seeded model for a dataset, fitting the triangular cap if needed.
 
-    The cap ranking runs once on the initial base features of the train
-    pixels and is frozen for the rest of the run.
+    The registry is drawn once, sized for the cap. The cap ranking then
+    runs on the model's own initial base features of the train pixels and
+    is frozen for the rest of the run.
     """
     tcfg = config.training
     slices = _segmented_slices(cube, tcfg)
-    rng = np.random.default_rng(tcfg.seed)
-    tri_combos = None
-    if tcfg.enhancement_on:
-        n_slices = len(slices.non_empty())
-        base = n_slices * labels.n_class
-        cap = config.stage1.resolve_cap(labels.n_class)
-        if cap is not None and cap < spectral.triple_indices(base).shape[0]:
-            spec = model_mod.param_spec(slices, labels.n_class, config)
-            heads = model_mod.init_params([e for e in spec if e[0].startswith("spectral.")], rng)
-            probe = model_mod.Model(heads, config, slices, labels.n_class).detached()
-            spectra = data.pixels_at(cube.data, split.train_indices).astype(np.float64)
-            x1 = np.asarray(spectral.base_features(spectra, probe))
-            tri_combos = spectral.fit_triangular_cap(x1, cap)
-            rng = np.random.default_rng(tcfg.seed)  # model init unaffected by probe
-    return model_mod.init_model(slices, labels.n_class, config, rng, tri_combos)
+    base = len(slices.non_empty()) * labels.n_class
+    cap = config.stage1.resolve_cap(labels.n_class) if tcfg.enhancement_on else None
+    if cap is not None and cap >= math.comb(base, 3):
+        cap = None
+    mdl = model_mod.init_model(slices, labels.n_class, config,
+                               np.random.default_rng(tcfg.seed), cap)
+    if cap is not None:
+        spectra = data.pixels_at(cube.data, split.train_indices).astype(np.float64)
+        x1 = np.asarray(spectral.base_features(spectra, mdl.detached()))
+        mdl.tri_combos = spectral.fit_triangular_cap(x1, cap)
+    return mdl
 
 
 # training loop ---------------------------------------------------------
@@ -209,8 +209,8 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
 
     The cube is min-max normalized per band before patch extraction.
     After each epoch the train and test pixels are scored together on
-    that normalized cube. Raises NumericError (with the epoch index) if
-    the loss goes non-finite.
+    that normalized cube. Raises NumericError naming the epoch and the
+    batch (both 1-based) if the loss goes non-finite.
     """
     if not split.train_indices:
         raise DataError("empty train set")
@@ -233,14 +233,14 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
         started = time.perf_counter()
         order = rng.permutation(n_train)
         losses = []
-        for lo in range(0, n_train, tcfg.batch_size):
+        for batch, lo in enumerate(range(0, n_train, tcfg.batch_size), 1):
             sel = order[lo : lo + tcfg.batch_size]
-            loss, _ = batch_loss(mdl, train_patches[sel], train_labels[sel], tcfg)
-            lv = float(ad.value(loss))
-            if not np.isfinite(lv):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
-            ad.backward(loss)
-            grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+            try:
+                lv, grads = compute_gradients(
+                    lambda _: batch_loss(mdl, train_patches[sel], train_labels[sel], tcfg),
+                    params)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, batch {batch}") from exc
             state = adam_step(params, grads, state, tcfg)
             losses.append(lv)
         hit = _classes_at(mdl, cube, scored) == truth
@@ -399,14 +399,9 @@ def _rel_error(a: float, b: float) -> float:
 
 
 def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
-              tolerance: float = 1e-4, seed: int = 7,
-              _fault: bool = False) -> GradcheckReport:
+              tolerance: float = 1e-4, seed: int = 7) -> GradcheckReport:
     """Compare reverse-mode gradients of the full loss with central
-    finite differences over sampled parameter coordinates.
-
-    ``_fault`` corrupts one analytic gradient; it exists so the failure
-    path itself can be exercised.
-    """
+    finite differences over sampled parameter coordinates."""
     started = time.perf_counter()
     config = config or gradcheck_config()
     cube, labels = _gradcheck_dataset(seed)
@@ -421,12 +416,9 @@ def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
     params = [t for _, t in entries]
 
     def loss_fn(_):
-        loss, _out = batch_loss(mdl, patches, targets, config.training)
-        return loss
+        return batch_loss(mdl, patches, targets, config.training)
 
     _, grads = compute_gradients(loss_fn, params)
-    if _fault:
-        grads = [g * 1.5 + 0.05 for g in grads]
 
     rng = np.random.default_rng(seed)
     sizes = np.array([ad.value(p).size for p in params])

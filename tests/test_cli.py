@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from hsicaps import cli, data, synthetic, training
+from hsicaps import cli, data, evaluation, spectral, synthetic, training
 from hsicaps.config import config_from_dict
 from hsicaps.errors import ConfigError
+from test_training import corrupt_gradients
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,40 @@ def test_evaluate_mcnemar_against_degraded_map(workspace, tmp_path):
         assert (out / "mcnemar.csv").exists()
 
 
+def test_evaluate_mcnemar_counts_skip_unlabelled(workspace, tmp_path):
+    # Five test pixels lose their label, and the comparison map marks them 0
+    # too: both classifiers then "agree with truth 0" there, and only
+    # the checkpoint is wrong. Those pixels must not enter f12 / f21.
+    pred_dir = tmp_path / "pred"
+    assert cli.main(["predict", "--checkpoint", workspace["checkpoint"],
+                     "--cube", workspace["cube"], "--out", str(pred_dir)]) == 0
+    pred = data.read_grid_csv(str(pred_dir / "map.csv"), "class map")
+    split_path = str(workspace["run"] / "split.json")
+    test = data.load_split(split_path).test_indices
+    labels = data.load_labels(workspace["labels"]).labels.copy()
+    other = pred.copy()
+    for r, c in test[:5]:
+        labels[r, c] = other[r, c] = 0
+    want = [0, 0]  # f12, f21
+    for r, c in test[5:7]:  # exactly two labelled discordant pairs
+        right = pred[r, c] == labels[r, c]
+        other[r, c] = labels[r, c] % 3 + 1 if right else labels[r, c]
+        want[0 if right else 1] += 1
+    label_path, other_path = tmp_path / "labels.csv", tmp_path / "other.csv"
+    data.write_grid_csv(labels, str(label_path))
+    data.write_grid_csv(other, str(other_path))
+    out = tmp_path / "eval"
+    rc = cli.main([
+        "evaluate", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", str(label_path),
+        "--split", split_path, "--compare", str(other_path), "--out", str(out),
+    ])
+    assert rc == 0
+    got = json.loads((out / "metrics.json").read_text())["mcnemar"]
+    assert [got["f12"], got["f21"]] == want
+    assert got["chi2"] == evaluation.mcnemar_from_counts(*want)[0]
+
+
 def test_predict_outputs_and_determinism(workspace, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -206,6 +241,26 @@ def test_interpret_report(workspace, tmp_path):
     header = (out / "features.csv").read_text().splitlines()[0].split(",")
     assert header[:3] == ["row", "col", "label"]
     assert header[3].startswith("b1_")
+
+
+def test_interpret_features_csv_equals_pixel_features(workspace, tmp_path):
+    out = tmp_path / "interp_feats"
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--out", str(out),
+    ])
+    assert rc == 0
+    mdl = training.load_checkpoint(workspace["checkpoint"])[0]
+    labels = data.load_labels(workspace["labels"]).labels
+    rows, cols = np.nonzero(labels)
+    norm = data.normalize_cube(data.load_cube(workspace["cube"]))
+    want = spectral.pixel_features(norm.data[rows, cols], mdl.detached())
+    lines = (out / "features.csv").read_text().splitlines()
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(table[:, :2], np.column_stack([rows, cols]))
+    np.testing.assert_array_equal(table[:, 2], labels[rows, cols])
+    np.testing.assert_array_equal(table[:, 3:], want)
 
 
 def test_interpret_conv_kernels_csv_is_numeric(workspace, tmp_path):
@@ -254,9 +309,10 @@ def test_interpret_self_reference_r2_is_one(workspace, tmp_path):
     assert report["r_squared_best"]["self_ref"]["r2"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_gradcheck_cli():
+def test_gradcheck_cli(monkeypatch):
     assert cli.main(["gradcheck"]) == 0
-    assert cli.main(["gradcheck", "--self-test-fault"]) == 3
+    corrupt_gradients(monkeypatch)
+    assert cli.main(["gradcheck"]) == 3
 
 
 def test_evaluate_rejects_out_of_bounds_split(workspace, tmp_path):

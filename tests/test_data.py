@@ -77,7 +77,7 @@ def test_load_missing_and_nonfinite(tmp_path):
 
 def test_labels_round_trip(tmp_path, small_labels):
     path = tmp_path / "labels.csv"
-    data.write_labels(small_labels, str(path))
+    data.write_grid_csv(small_labels.labels, str(path))
     loaded = data.load_labels(str(path))
     np.testing.assert_array_equal(loaded.labels, small_labels.labels)
     assert loaded.n_class == 3

@@ -195,8 +195,8 @@ def test_mcnemar_symmetry(rng):
     truth = rng.integers(1, 4, size=60)
     a = rng.integers(1, 4, size=60)
     b = rng.integers(1, 4, size=60)
-    chi_ab, _ = ev.mcnemar(truth, a, b)
-    chi_ba, _ = ev.mcnemar(truth, b, a)
+    chi_ab = ev.mcnemar(truth, a, b)[0]
+    chi_ba = ev.mcnemar(truth, b, a)[0]
     assert chi_ab == pytest.approx(chi_ba)
 
 
@@ -204,7 +204,8 @@ def test_mcnemar_skips_unlabeled():
     truth = [0, 1, 1, 1]
     a = [9, 1, 1, 2]
     b = [9, 2, 2, 1]
-    chi2, _ = ev.mcnemar(truth, a, b)
+    chi2, _, f12, f21 = ev.mcnemar(truth, a, b)
+    assert (f12, f21) == (2, 1)
     assert chi2 == pytest.approx((abs(2 - 1) - 1) ** 2 / 3)
 
 

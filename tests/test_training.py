@@ -159,8 +159,20 @@ def test_full_model_gradcheck_passes():
     assert report.elapsed_seconds < 120
 
 
-def test_gradcheck_fault_injection_fails():
-    report = training.gradcheck(_fault=True)
+def corrupt_gradients(monkeypatch):
+    """Make every analytic gradient wrong, so gradcheck must fail."""
+    real = training.compute_gradients
+
+    def corrupted(loss_fn, params):
+        lv, grads = real(loss_fn, params)
+        return lv, [g * 1.5 + 0.05 for g in grads]
+
+    monkeypatch.setattr(training, "compute_gradients", corrupted)
+
+
+def test_gradcheck_fault_injection_fails(monkeypatch):
+    corrupt_gradients(monkeypatch)
+    report = training.gradcheck()
     assert not report.passed
 
 
@@ -262,6 +274,19 @@ def test_train_enhancement_flag_controls_f_n(tiny_dataset):
     assert off.model.f_n == m * n_class
 
 
+def test_build_model_fits_cap_on_its_own_initial_heads(tiny_dataset):
+    cube, labels, split = tiny_dataset
+    cfg = small_run_config()
+    cfg.stage1.triangular_cap = 7
+    norm = data.normalize_cube(cube)
+    mdl = training.build_model(norm, labels, split, cfg)
+    spectra = data.pixels_at(norm.data, split.train_indices).astype(np.float64)
+    x1 = np.asarray(spectral.base_features(spectra, mdl.detached()))
+    assert mdl.tri_combos.shape == (7, 3)
+    np.testing.assert_array_equal(mdl.tri_combos, spectral.fit_triangular_cap(x1, 7))
+    assert mdl.f_n == spectral.feature_count(len(mdl.slices.non_empty()), labels.n_class, 7)
+
+
 def test_train_empty_split_errors(tiny_dataset):
     cube, labels, _ = tiny_dataset
     empty = data.SampleSplit((), ((0, 0),), 0, 0.5)
@@ -275,11 +300,10 @@ def test_train_divergence_aborts_with_epoch(tiny_dataset, monkeypatch):
     real = training.batch_loss
 
     def poisoned(mdl, patches, targets, cfg):
-        loss, out = real(mdl, patches, targets, cfg)
-        return ad.mul(loss, np.nan), out
+        return ad.mul(real(mdl, patches, targets, cfg), np.nan)
 
     monkeypatch.setattr(training, "batch_loss", poisoned)
-    with pytest.raises(NumericError, match="epoch 1"):
+    with pytest.raises(NumericError, match="epoch 1, batch 1"):
         training.train(cube, labels, split, small_run_config())
 
 
