@@ -13,6 +13,9 @@ Otherwise it returns a Tensor that keeps the tracked pairs, and
 ``backward`` walks them in reverse topological order, adding each VJP
 into its input's ``.grad``. An input passed twice receives both VJPs.
 
+``split`` is the inverse of ``concat`` on the last axis: each part's VJP
+places its gradient in its own slice of zeros.
+
 Hinge-style kinks (relu, clip) use the zero-side subgradient.
 """
 
@@ -215,6 +218,24 @@ def concat(xs, axis):
 
     return _node(np.concatenate(vals, axis=axis),
                  *((x, part(lo, hi)) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])))
+
+
+def split(x, sizes):
+    """Consecutive last-axis parts of the given widths (the inverse of ``concat``)."""
+    xv = _val(x)
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    if offsets[-1] != xv.shape[-1]:
+        raise ValueError(f"split widths {tuple(sizes)} do not sum to {xv.shape[-1]}")
+
+    def part(lo, hi):
+        def vjp(g):
+            gx = np.zeros_like(xv)
+            gx[..., lo:hi] = g
+            return gx
+
+        return _node(xv[..., lo:hi], (x, vjp))
+
+    return [part(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 # sliding windows (valid convolution support) --------------------------

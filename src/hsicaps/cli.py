@@ -205,10 +205,13 @@ def _cmd_interpret(args) -> int:
     norm_cube = data.normalize_cube(cube)
     labs = labels.labels[rows, cols]
 
-    # Pixel-level enhanced features (no spatial context needed).
+    # Pixel-level enhanced features (no spatial context needed): the conv
+    # input [x1, x2], plus the triangular index x3 of its first b columns.
     feats = np.asarray(spectral.pixel_features(norm_cube.data[rows, cols], detached))
-    names = spectral.feature_names(len(mdl.slices.non_empty()) * mdl.n_class,
-                                   mdl.tri_combos, cfg.training.enhancement_on)
+    base = len(mdl.slices.non_empty()) * mdl.n_class
+    if cfg.training.enhancement_on:
+        feats = np.hstack([feats, spectral.triangular_index(feats[:, :base], mdl.tri_combos)])
+    names = spectral.feature_names(base, mdl.tri_combos, cfg.training.enhancement_on)
 
     try:
         dunn = evaluation.dunn_index(feats, labs)

@@ -5,8 +5,11 @@ insertion order, written down once in ``param_spec``, is both the rng
 draw order at init and the checkpoint order. The forward pass maps a
 batch of patches to class-capsule activities: per-pixel stage-1 features
 (``spectral.pixel_features``) -> spatial convolution -> primary capsules
--> routed class capsules. With tracked parameters the same code builds the
-training graph; with detached parameters it runs as plain numpy.
+-> routed class capsules. The spatial convolution runs on the base
+features and their binary index with ``spectral.conv_kernel``, the
+registry's ``caps.conv.w`` with its triangular-index part folded in.
+With tracked parameters the same code builds the training graph; with
+detached parameters it runs as plain numpy.
 Inference runs the same layers fully convolutionally over row tiles of a
 whole scene (``scene_forward``), so each pixel's spectrum is processed once.
 """
@@ -23,7 +26,7 @@ from .errors import DataError, NumericError
 
 # Centre rows per tile of ``scene_forward``. Its peak memory follows the
 # tile: the stage-2 unfold holds about (tile + patch) * (width + patch)
-# * conv_kernel^2 * f_n doubles.
+# * conv_kernel^2 * (b + C(b,2)) doubles, the folded conv's input width.
 SCENE_TILE_ROWS = 8
 # Centres per pass through the class-capsule tail, as in predict_lengths.
 TAIL_BATCH = 64
@@ -121,6 +124,8 @@ class Model:
 
     @property
     def f_n(self):
+        """F_N, the registry's stage-2 channel count: b + C(b,2) + kept triples
+        with enhancement on (the conv itself runs on the first two groups)."""
         return ad.value(self.params["caps.conv.w"]).shape[3]
 
     def detached(self):
@@ -160,8 +165,8 @@ def forward(model: Model, patches: np.ndarray):
         )
     p, cfg = model.params, model.config
     feats = spectral.pixel_features(patches.reshape(N * s1 * s2, B), model)
-    fmap = ad.reshape(feats, (N, s1, s2, model.f_n))
-    o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"],
+    fmap = ad.reshape(feats, (N, s1, s2, ad.shape_of(feats)[-1]))
+    o = capsule.conv2d_batch(fmap, spectral.conv_kernel(model), p["caps.conv.b"],
                              cfg.stage2.conv_stride, "relu")
     poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], cfg.stage2.capsules,
                                            cfg.stage2.capsule_stride)
@@ -186,6 +191,7 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
     centre rows (plus a patch // 2 halo each side; tiles without a centre
     are skipped) the spectral head and enhancement run once per pixel and
     the stage-2 and primary convolutions once per position of the tile.
+    The folded stage-2 kernel is built once per call.
     A stage-2 conv stride above 1 dilates the primary conv; it runs over
     each stride phase of the stride-1 conv map that some centre needs.
     Each centre reads its h2 x h2 window off that map, and only the
@@ -202,6 +208,7 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
     M, n_class, D, K = p["caps.class.w"].shape
     out = {"poses": np.empty((len(rc), M, K)), "v": np.empty((len(rc), n_class, D)),
            "lengths": np.empty((len(rc), n_class))}
+    kernel = spectral.conv_kernel(mdl)
     tile_of = rc[:, 0] // tile_rows
     for tile in np.unique(tile_of):
         ids = np.flatnonzero(tile_of == tile)
@@ -209,8 +216,8 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
         rows = padded[r0 : r0 + tile_rows + size - 1]
         R, W, B = rows.shape
         feats = spectral.pixel_features(rows.reshape(R * W, B), mdl)
-        o = capsule.conv2d_batch(feats.reshape(1, R, W, mdl.f_n), p["caps.conv.w"],
-                                 p["caps.conv.b"], 1, "relu")
+        o = capsule.conv2d_batch(feats.reshape(1, R, W, -1), kernel, p["caps.conv.b"], 1,
+                                 "relu")
         lr, lc = rc[ids, 0] - r0, rc[ids, 1]
         phase = (lr % st1) * st1 + lc % st1
         for ph in np.unique(phase):

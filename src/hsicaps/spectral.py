@@ -17,7 +17,11 @@ features, and any capped subset, span at most b - 2 directions (19 at b = 21).
 
 The head of the i-th non-empty slice reads its weights from the model's
 parameter registry under ``spectral.<i>.*``. ``pixel_features`` is the one
-composition of heads and enhancement that every caller uses. All forward
+composition of heads and enhancement that every caller uses; it returns
+the stage-2 conv input [x1, x2] of b + C(b,2) channels. Since x3 = x1 @ T
+is linear and so is the conv before its relu, ``conv_kernel`` folds the
+triangular part of ``caps.conv.w`` into its base part, and no forward
+pass builds x3. Only the cap fit and ``interpret``'s export do. All forward
 routines run on plain arrays or on autodiff tensors.
 """
 
@@ -151,14 +155,13 @@ def binary_index(x1, epsilon: float = 1e-8):
     return ad.clip(ad.div(matmul_last(x1, diff), den), -1.0, 1.0)
 
 
-def triangular_index(x1, combos=None):
-    """Signed triangle area for feature triples over (position, value).
+def triangular_matrix(F: int, combos=None) -> np.ndarray:
+    """(F, S) map T with ``x1 @ T`` the signed triangle area of each triple.
 
-    ``combos`` restricts evaluation to a fitted (S, 3) subset; by default
-    every i<j<h triple is produced in lexicographic order. Positions are
+    ``combos`` restricts T to a fitted (S, 3) subset; by default every
+    i<j<h triple is a column, in lexicographic order. Positions are
     1-based feature indices.
     """
-    F = ad.shape_of(x1)[-1]
     if F < 3:
         raise DataError("triangular index needs at least 3 features")
     if combos is None:
@@ -170,7 +173,13 @@ def triangular_index(x1, combos=None):
     tri[i, cols] = 0.5 * (h - j)
     tri[j, cols] = -0.5 * (h - i)
     tri[h, cols] = 0.5 * (j - i)
-    return matmul_last(x1, tri)
+    return tri
+
+
+def triangular_index(x1, combos=None):
+    """Signed triangle area for feature triples over (position, value):
+    ``x1 @ triangular_matrix(F, combos)`` over the last axis."""
+    return matmul_last(x1, triangular_matrix(ad.shape_of(x1)[-1], combos))
 
 
 def fit_triangular_cap(x1_train: np.ndarray, cap: int) -> np.ndarray:
@@ -194,8 +203,9 @@ def fit_triangular_cap(x1_train: np.ndarray, cap: int) -> np.ndarray:
 def enhanced_features(x1, epsilon: float = 1e-8, tri_combos=None, enabled: bool = True):
     """(P, base) -> (P, F_N): base features, binary index, triangular index.
 
-    ``tri_combos`` restricts the triples to a fitted subset; with
-    ``enabled`` false the base features pass through unchanged.
+    The full feature vector that ``caps.conv.w`` and ``feature_names`` are
+    laid out over. ``tri_combos`` restricts the triples to a fitted subset;
+    with ``enabled`` false the base features pass through unchanged.
     """
     if not enabled:
         return x1
@@ -205,15 +215,36 @@ def enhanced_features(x1, epsilon: float = 1e-8, tri_combos=None, enabled: bool 
 
 
 def pixel_features(pixels, model):
-    """(P, B) spectra -> (P, F_N) stage-1 features of ``model``.
+    """(P, B) spectra -> (P, b + C(b,2)) stage-2 conv input of ``model``:
+    the base features and their binary index, or the base features alone
+    with enhancement off.
 
     The one composition of the slice heads and the index enhancement,
-    under the model's epsilon, fitted triples and enhancement flag.
+    under the model's epsilon and enhancement flag. The triangular index
+    is not built: ``conv_kernel`` folds it into the stage-2 kernel.
     """
     cfg = model.config
     x1 = base_features(np.asarray(pixels, dtype=np.float64), model)
-    return enhanced_features(x1, cfg.stage1.epsilon, model.tri_combos,
-                             cfg.training.enhancement_on)
+    if not cfg.training.enhancement_on:
+        return x1
+    return ad.concat([x1, binary_index(x1, cfg.stage1.epsilon)], axis=1)
+
+
+def conv_kernel(model):
+    """Stage-2 conv kernel (J, k, k, b + C(b,2)) over ``pixel_features``.
+
+    ``caps.conv.w`` is laid out over [x1, x2, x3] with x3 = x1 @ T. The
+    conv is linear before its relu, so its base, binary and triangular
+    parts fold into [W_base + W_tri @ T^T, W_bin], which gives the same
+    conv over [x1, x2]. With enhancement off the kernel is ``caps.conv.w``.
+    """
+    w = model.params["caps.conv.w"]
+    if not model.config.training.enhancement_on:
+        return w
+    b = len(model.slices.non_empty()) * model.n_class
+    tri = triangular_matrix(b, model.tri_combos)
+    w_base, w_bin, w_tri = ad.split(w, (b, math.comb(b, 2), tri.shape[1]))
+    return ad.concat([ad.add(w_base, matmul_last(w_tri, tri.T)), w_bin], axis=-1)
 
 
 def feature_names(base: int, tri_combos=None, enabled: bool = True) -> list:

@@ -139,19 +139,32 @@ class AdamState:
 def adam_step(params, grads, state: AdamState, cfg) -> AdamState:
     """One bias-corrected Adam update, applied in place to ``params``.
 
-    ``params`` may be tensors or arrays; shapes must match ``grads``.
+    ``params`` may be tensors or arrays; shapes must match ``grads``. The
+    moments are updated in place and the step goes through two scratch
+    buffers, in the operation order of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g and lr * m_hat / (sqrt(v_hat) + eps).
     Returns the advanced state.
     """
     t = state.t + 1
+    b1, b2 = cfg.beta1, cfg.beta2
     for i, (p, g) in enumerate(zip(params, grads)):
         arr = p.data if isinstance(p, ad.Tensor) else p
         if arr.shape != g.shape:
             raise DataError(f"gradient shape mismatch at parameter {i}")
-        state.m[i] = cfg.beta1 * state.m[i] + (1 - cfg.beta1) * g
-        state.v[i] = cfg.beta2 * state.v[i] + (1 - cfg.beta2) * g * g
-        m_hat = state.m[i] / (1 - cfg.beta1**t)
-        v_hat = state.v[i] / (1 - cfg.beta2**t)
-        arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+        m, v = state.m[i], state.v[i]
+        step, den = np.multiply(g, 1 - b1), np.multiply(g, 1 - b2)
+        m *= b1
+        m += step
+        den *= g
+        v *= b2
+        v += den
+        np.divide(m, 1 - b1**t, out=step)
+        step *= cfg.learning_rate
+        np.divide(v, 1 - b2**t, out=den)
+        np.sqrt(den, out=den)
+        den += cfg.adam_epsilon
+        step /= den
+        arr -= step
     state.t = t
     return state
 
@@ -371,7 +384,7 @@ def check_cube_compatible(manifest: dict, cube: data.HsiCube) -> None:
         raise DataError(
             f"cube has {cube.bands} bands but checkpoint was trained with {len(stored)}"
         )
-    if not np.allclose(stored, np.asarray(cube.wavelengths), atol=1e-6):
+    if not np.allclose(stored, np.asarray(cube.wavelengths), rtol=0, atol=1e-6):
         raise DataError("cube wavelengths differ from the checkpoint's")
 
 

@@ -243,7 +243,9 @@ def test_interpret_report(workspace, tmp_path):
     assert header[3].startswith("b1_")
 
 
-def test_interpret_features_csv_equals_pixel_features(workspace, tmp_path):
+def test_interpret_features_csv_equals_enhanced_features(workspace, tmp_path):
+    # features.csv is the full [x1, x2, x3] vector, though forward passes
+    # never build x3 since the triangular index is folded into the conv kernel
     out = tmp_path / "interp_feats"
     rc = cli.main([
         "interpret", "--checkpoint", workspace["checkpoint"],
@@ -255,7 +257,10 @@ def test_interpret_features_csv_equals_pixel_features(workspace, tmp_path):
     labels = data.load_labels(workspace["labels"]).labels
     rows, cols = np.nonzero(labels)
     norm = data.normalize_cube(data.load_cube(workspace["cube"]))
-    want = spectral.pixel_features(norm.data[rows, cols], mdl.detached())
+    detached = mdl.detached()
+    x1 = spectral.base_features(norm.data[rows, cols].astype(np.float64), detached)
+    want = spectral.enhanced_features(x1, mdl.config.stage1.epsilon, mdl.tri_combos)
+    assert want.shape[1] == mdl.f_n
     lines = (out / "features.csv").read_text().splitlines()
     table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(table[:, :2], np.column_stack([rows, cols]))

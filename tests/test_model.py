@@ -1,15 +1,16 @@
 """Composed network forward vs an independent straight-line oracle."""
 
 import itertools
+import math
 
 import numpy as np
 
 from hsicaps import autodiff as ad
-from hsicaps import data, model as model_mod, training
+from hsicaps import capsule, data, model as model_mod, spectral, training
 from hsicaps.config import RunConfig
 
 
-def tiny_setup(n_class=2, seed=3):
+def tiny_setup(n_class=2, seed=3, tri_cap="auto"):
     rng = np.random.default_rng(seed)
     wavelengths = tuple(np.concatenate([
         np.linspace(440.0, 510.0, 8),
@@ -29,6 +30,7 @@ def tiny_setup(n_class=2, seed=3):
     cfg.stage2.conv_filters = 5
     cfg.stage2.capsules = 2
     cfg.stage2.capsule_dim = 3
+    cfg.stage1.triangular_cap = tri_cap
     cfg.validate()
     cube = data.normalize_cube(cube)
     split = data.split_samples(labels, 0.5, seed)
@@ -190,6 +192,92 @@ def test_tracked_and_detached_forward_agree():
     assert isinstance(tracked["lengths"], ad.Tensor)
     assert isinstance(detached["lengths"], np.ndarray)
     np.testing.assert_array_equal(ad.value(tracked["lengths"]), detached["lengths"])
+
+
+# triangular index folded into the stage-2 kernel ----------------------------
+
+
+def unfolded_forward(mdl, patches):
+    """``forward`` as it ran before the fold: the stage-2 conv over the full
+    [x1, x2, x3] enhanced features with the unsplit ``caps.conv.w``."""
+    N, s, _, B = patches.shape
+    p, cfg = mdl.params, mdl.config
+    x1 = spectral.base_features(patches.reshape(N * s * s, B).astype(np.float64), mdl)
+    feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
+                                       cfg.training.enhancement_on)
+    fmap = ad.reshape(feats, (N, s, s, mdl.f_n))
+    o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"],
+                             cfg.stage2.conv_stride, "relu")
+    poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], cfg.stage2.capsules,
+                                           cfg.stage2.capsule_stride)
+    return model_mod._class_capsules(mdl, poses)
+
+
+def fold_setups():
+    """3 classes with every triple, and 3 classes under a 25-triple cap."""
+    full = tiny_setup(n_class=3)
+    capped = tiny_setup(n_class=3, tri_cap=25)
+    base = len(full[3].slices.non_empty()) * 3
+    assert full[3].tri_combos is None and capped[3].tri_combos.shape == (25, 3)
+    assert full[3].f_n == spectral.feature_count(len(full[3].slices.non_empty()), 3)
+    assert capped[3].f_n == base + math.comb(base, 2) + 25
+    return full, capped
+
+
+def rel_gap(got, want):
+    got, want = np.asarray(ad.value(got)), np.asarray(ad.value(want))
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_folded_forward_equals_unfolded_conv():
+    for cube, labels, cfg, mdl in fold_setups():
+        patches = data.extract_patch_batch(cube, [(0, 0), (3, 4), (7, 2)], 5)
+        for m in (mdl, mdl.detached()):
+            got, want = model_mod.forward(m, patches), unfolded_forward(m, patches)
+            for key in ("poses", "v", "lengths"):
+                np.testing.assert_allclose(ad.value(got[key]), ad.value(want[key]),
+                                           rtol=1e-10, atol=1e-14)
+
+
+def test_folded_gradients_equal_unfolded_graph(monkeypatch):
+    for cube, labels, cfg, mdl in fold_setups():
+        coords = [(1, 1), (4, 6), (6, 3), (2, 5)]
+        patches = data.extract_patch_batch(cube, coords, 5)
+        targets = data.pixels_at(labels.labels, coords)
+        names, params = list(mdl.params), list(mdl.params.values())
+
+        def loss_fn(_):
+            return training.batch_loss(mdl, patches, targets, cfg.training)
+
+        _, folded = training.compute_gradients(loss_fn, params)
+        with monkeypatch.context() as mp:
+            mp.setattr(model_mod, "forward", unfolded_forward)
+            _, unfolded = training.compute_gradients(loss_fn, params)
+        for name, got, want in zip(names, folded, unfolded):
+            assert np.any(want != 0.0), name
+            assert rel_gap(got, want) < 1e-10, name
+
+
+def test_forward_paths_never_build_the_triangular_index(monkeypatch):
+    cube, labels, cfg, mdl = tiny_setup(n_class=3, tri_cap=25)
+
+    def forbidden(*_a, **_k):
+        raise AssertionError("triangular_index called on a forward path")
+
+    monkeypatch.setattr(spectral, "triangular_index", forbidden)
+    base = len(mdl.slices.non_empty()) * 3
+    feats = spectral.pixel_features(cube.data[0, :2], mdl)
+    assert ad.shape_of(feats) == (2, base + math.comb(base, 2))
+    patches = data.extract_patch_batch(cube, [(2, 2)], 5)
+    model_mod.forward(mdl, patches)
+    model_mod.scene_forward(mdl, cube, [(2, 2)])
+
+
+def test_conv_kernel_is_the_registry_kernel_with_enhancement_off():
+    cube, labels, cfg, _ = tiny_setup()
+    cfg.training.enhancement_on = False
+    mdl = training.build_model(cube, labels, data.split_samples(labels, 0.5, 3), cfg)
+    assert spectral.conv_kernel(mdl) is mdl.params["caps.conv.w"]
 
 
 # fully convolutional scene path ------------------------------------------

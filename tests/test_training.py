@@ -219,6 +219,29 @@ def test_adam_deterministic():
         np.testing.assert_array_equal(x, y)
 
 
+def test_adam_in_place_equals_reference_update_bit_for_bit():
+    rng = np.random.default_rng(3)
+    p = [rng.normal(size=(4, 5)), rng.normal(size=3)]
+    ref_p = [a.copy() for a in p]
+    ref_m = [np.zeros_like(a) for a in p]
+    ref_v = [np.zeros_like(a) for a in p]
+    state = training.AdamState.for_params(p)
+    c = AdamCfg
+    for t in range(1, 6):
+        grads = [rng.normal(size=a.shape) for a in p]
+        kept = [g.copy() for g in grads]
+        training.adam_step(p, grads, state, c)
+        for i, g in enumerate(kept):
+            ref_m[i] = c.beta1 * ref_m[i] + (1 - c.beta1) * g
+            ref_v[i] = c.beta2 * ref_v[i] + (1 - c.beta2) * g * g
+            m_hat = ref_m[i] / (1 - c.beta1**t)
+            v_hat = ref_v[i] / (1 - c.beta2**t)
+            ref_p[i] -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_epsilon)
+            np.testing.assert_array_equal(grads[i], g)  # gradients are not consumed
+        for got, want in zip(p + state.m + state.v, ref_p + ref_m + ref_v):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_adam_shape_mismatch():
     p = [np.zeros(2)]
     state = training.AdamState.for_params(p)
@@ -398,6 +421,19 @@ def test_checkpoint_round_trip(tmp_path, tiny_dataset):
                          np.zeros((2, 2, 3), dtype=np.float32))
     with pytest.raises(DataError):
         training.check_cube_compatible(manifest, other)
+
+
+def test_check_cube_compatible_applies_the_absolute_tolerance_alone():
+    manifest = {"wavelengths_nm": [400.0, 1000.0, 2500.0]}
+
+    def cube(wavelengths):
+        return data.HsiCube(1, 1, 3, wavelengths, np.zeros((1, 1, 3), dtype=np.float32))
+
+    training.check_cube_compatible(manifest, cube((400.0, 1000.0, 2500.0)))
+    training.check_cube_compatible(manifest, cube((400.0, 1000.0, 2500.0 + 5e-7)))
+    # 0.02 nm at 2,500 nm is inside numpy's default rtol=1e-5, not inside 1e-6 nm
+    with pytest.raises(DataError, match="wavelengths differ"):
+        training.check_cube_compatible(manifest, cube((400.0, 1000.0, 2500.02)))
 
 
 def test_checkpoint_predictions_survive_round_trip(tmp_path, tiny_dataset):
