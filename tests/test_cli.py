@@ -243,7 +243,7 @@ def test_interpret_report(workspace, tmp_path):
     assert header[3].startswith("b1_")
 
 
-def test_interpret_features_csv_equals_enhanced_features(workspace, tmp_path):
+def test_interpret_features_csv_equals_pixel_features(workspace, tmp_path):
     # features.csv is the full [x1, x2, x3] vector, though forward passes
     # never build x3 since the triangular index is folded into the conv kernel
     out = tmp_path / "interp_feats"
