@@ -143,8 +143,8 @@ def _cmd_evaluate(args) -> int:
         except DataError:
             mcnemar_result = {"note": "no discordant pairs"}
     report = evaluation.metrics_report(cm, args.on, mcnemar_result)
-    _write_json(os.path.join(out_dir, "metrics.json"), report.to_dict())
-    print(f"OA {report.oa:.4f}  AA {report.aa:.4f}  kappa {report.kappa:.4f} "
+    _write_json(os.path.join(out_dir, "metrics.json"), report)
+    print(f"OA {report['oa']:.4f}  AA {report['aa']:.4f}  kappa {report['kappa']:.4f} "
           f"({cm.total} pixels, {args.on} split)")
     return EXIT_OK
 
@@ -164,17 +164,23 @@ def _cmd_predict(args) -> int:
 
 def _read_references(path, coords):
     """Reference CSV: header 'row,col,<name>...'; one line per pixel."""
+    if not os.path.exists(path):
+        raise DataError(f"reference CSV not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["row", "col"]:
             raise DataError("reference CSV must start with row,col columns")
         names = header[2:]
         table = {}
-        for line in fh:
+        for line_no, line in enumerate(fh, 2):
             parts = line.strip().split(",")
             if len(parts) != len(header):
-                raise DataError("ragged reference CSV")
-            table[(int(parts[0]), int(parts[1]))] = [float(v) for v in parts[2:]]
+                raise DataError(f"ragged reference CSV {path} at line {line_no}")
+            try:
+                table[(int(parts[0]), int(parts[1]))] = [float(v) for v in parts[2:]]
+            except ValueError as exc:
+                raise DataError(f"malformed reference CSV {path} at line {line_no}: "
+                                f"{exc}") from exc
     missing = [rc for rc in coords if rc not in table]
     if missing:
         raise DataError(f"reference CSV missing pixel {missing[0]}")
@@ -205,13 +211,13 @@ def _cmd_interpret(args) -> int:
     norm_cube = data.normalize_cube(cube)
     labs = labels.labels[rows, cols]
 
-    # Pixel-level enhanced features (no spatial context needed): the conv
-    # input [x1, x2], plus the triangular index x3 of its first b columns.
-    feats = np.asarray(spectral.pixel_features(norm_cube.data[rows, cols], detached))
-    base = len(mdl.slices.non_empty()) * mdl.n_class
-    if cfg.training.enhancement_on:
-        feats = np.hstack([feats, spectral.triangular_index(feats[:, :base], mdl.tri_combos)])
-    names = spectral.feature_names(base, mdl.tri_combos, cfg.training.enhancement_on)
+    # Pixel-level enhanced features (no spatial context needed): the full
+    # [x1, x2, x3] vector that caps.conv.w and the feature names lay out.
+    enhance = cfg.training.enhancement_on
+    x1 = spectral.base_features(np.asarray(norm_cube.data[rows, cols], dtype=np.float64),
+                                detached)
+    feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos, enhance)
+    names = spectral.feature_names(x1.shape[1], mdl.tri_combos, enhance)
 
     try:
         dunn = evaluation.dunn_index(feats, labs)
@@ -233,25 +239,18 @@ def _cmd_interpret(args) -> int:
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    best = {}
+    # (F, R) r2 over each reference's finite rows; NaN (a blank cell) where
+    # it is undefined: fewer than 3 finite values, or zero variance.
+    r2 = np.full((len(names), len(ref_names)), np.nan)
+    for j in range(len(ref_names)):
+        valid = np.isfinite(ref_values[:, j])
+        if valid.sum() >= 3:
+            r2[:, j] = evaluation.r_squared(feats[valid], ref_values[valid, j])
     with open(os.path.join(out_dir, "r_squared.csv"), "w", encoding="utf-8") as fh:
         fh.write("feature,reference,r2\n")
-        for j, ref in enumerate(ref_names):
-            valid = np.isfinite(ref_values[:, j])
-            top = (None, -1.0)
-            for i, feat_name in enumerate(names):
-                try:
-                    if valid.sum() < 3:
-                        raise DataError("too few finite reference values")
-                    r2 = evaluation.r_squared(feats[valid, i], ref_values[valid, j])
-                except DataError:
-                    fh.write(f"{feat_name},{ref},\n")
-                    continue
-                fh.write(f"{feat_name},{ref},{r2!r}\n")
-                if r2 > top[1]:
-                    top = (feat_name, r2)
-            if top[0] is not None:
-                best[ref] = {"feature": top[0], "r2": top[1]}
+        for ref, column in zip(ref_names, r2.T):
+            fh.writelines(f"{feat},{ref},{'' if math.isnan(v) else repr(v)}\n"
+                          for feat, v in zip(names, column.tolist()))
 
     _write_pixel_csv(os.path.join(out_dir, "features.csv"), names, coords, labs, feats)
 
@@ -274,16 +273,15 @@ def _cmd_interpret(args) -> int:
         fh.writelines(f"{j},{a},{b},{ch},{v!r}\n"
                       for (j, a, b, ch), v in zip(index, kernels.ravel().tolist()))
 
-    report = evaluation.InterpretabilityReport(
+    doc = evaluation.interpretability_report(
         entropy_per_class=evaluation.entropy_per_class(feats, labs),
         capsule_entropy_per_class=evaluation.entropy_per_class(activities, labs),
         dunn=dunn,
-        r_squared_best=best,
-        references=tuple(ref_names),
+        r2=r2,
+        features=names,
+        references=ref_names,
         n_pixels=len(coords),
-        n_features=feats.shape[1],
     )
-    doc = report.to_dict()
     _write_json(os.path.join(out_dir, "interpretability.json"), doc)
     print(f"entropy mean {doc['entropy_mean']:.4f}  "
           f"dunn {dunn if dunn is not None else 'n/a'}  "

@@ -38,7 +38,8 @@ class SpectralConfig:
         if self.epsilon <= 0:
             raise ConfigError("stage1.epsilon must be positive")
         cap = self.triangular_cap
-        if cap != "auto" and cap is not None and (not isinstance(cap, int) or cap < 1):
+        if cap != "auto" and cap is not None and (
+                not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
             raise ConfigError("stage1.triangular_cap must be 'auto', null or a positive int")
 
 
@@ -137,6 +138,19 @@ class RunConfig:
         self.training.enhancement_on = variant == "model3"
 
 
+# JSON types each scalar field takes. A bool is an int in Python, so it is
+# refused apart; null is allowed only where the default is None.
+_SCALAR_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _check_scalar(f, val, key):
+    allowed = _SCALAR_TYPES.get(f.type)
+    if allowed is None or (val is None and f.default is None):
+        return
+    if not isinstance(val, allowed) or (isinstance(val, bool) and f.type is not bool):
+        raise ConfigError(f"{key} must be {f.type.__name__}, got {json.dumps(val)}")
+
+
 def _build(cls, doc, path):
     if not isinstance(doc, dict):
         raise ConfigError(f"expected an object at {path or 'top level'}")
@@ -153,6 +167,7 @@ def _build(cls, doc, path):
                                                           TrainConfig, MarginLossConfig):
             kwargs[key] = _build(f.type, val, sub)
         else:
+            _check_scalar(f, val, sub)
             kwargs[key] = val
     return cls(**kwargs)
 

@@ -354,14 +354,26 @@ def save_split(split: SampleSplit, path: str) -> None:
         fh.write("\n")
 
 
+def _is_pixel(rc) -> bool:
+    return (isinstance(rc, list) and len(rc) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in rc))
+
+
 def load_split(path: str) -> SampleSplit:
+    """Read a ``save_split`` file. Unreadable JSON, a missing key, or a
+    train/test entry that is not an integer [row, col] pair raises DataError."""
     if not os.path.exists(path):
         raise DataError(f"split file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return SampleSplit(
-        tuple((int(r), int(c)) for r, c in doc["train"]),
-        tuple((int(r), int(c)) for r, c in doc["test"]),
-        int(doc["seed"]),
-        float(doc["train_fraction"]),
-    )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        pixels = {key: doc[key] for key in ("train", "test")}
+        seed, fraction = int(doc["seed"]), float(doc["train_fraction"])
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
+        raise DataError(f"malformed split file {path}: {exc!r}") from exc
+    for key, entries in pixels.items():
+        if not isinstance(entries, list) or not all(map(_is_pixel, entries)):
+            raise DataError(f"malformed split file {path}: {key!r} must be a list of "
+                            "[row, col] integer pairs")
+    return SampleSplit(tuple(map(tuple, pixels["train"])), tuple(map(tuple, pixels["test"])),
+                       seed, fraction)

@@ -5,8 +5,9 @@ Includes the pooled/averaged accuracies, kappa, one-vs-rest sensitivity
 and specificity, the continuity-corrected McNemar chi-squared with its
 star bands, per-class Shannon entropy over feature activations, the Dunn
 cluster-validity index, nine built-in two/three-band reflectance
-indices, and the squared Pearson correlation used for post-hoc feature
-attribution.
+indices, the squared Pearson correlation of one reference with every
+feature column at once (post-hoc feature attribution), and the report
+dicts that ``evaluate`` and ``interpret`` write as JSON.
 """
 
 import math
@@ -269,95 +270,88 @@ def available_indices(wavelengths, tolerance_nm: float = 10.0):
     return out
 
 
-def r_squared(x, y) -> float:
-    """Squared Pearson correlation between two equal-length samples."""
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
+def r_squared(x, y):
+    """Squared Pearson correlation of ``y`` with ``x``, or with each column of ``x``.
+
+    A 1-D ``x`` gives a float, and zero variance in either sample raises
+    DataError. An (n, F) ``x`` gives an (F,) array that is NaN wherever a
+    column of ``x``, or ``y``, has zero variance. Either way the samples
+    need equal lengths and at least 3 values.
+    """
+    a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64).reshape(-1)
-    if a.size != b.size:
+    cols = a if a.ndim == 2 else a.reshape(-1, 1)
+    if cols.shape[0] != b.size:
         raise DataError("r_squared inputs must have equal lengths")
-    if a.size < 3:
+    if b.size < 3:
         raise DataError("r_squared needs at least 3 samples")
-    da = a - a.mean()
+    # the centred (n, F) copy lives only in this call
+    da = cols - cols.mean(axis=0)
     db = b - b.mean()
-    va = float(np.dot(da, da))
+    va = np.einsum("ij,ij->j", da, da)
     vb = float(np.dot(db, db))
-    if va == 0 or vb == 0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (db @ da) / np.sqrt(va * vb)
+    r2 = np.where((va == 0) | (vb == 0), np.nan, np.minimum(r * r, 1.0))
+    if a.ndim == 2:
+        return r2
+    if np.isnan(r2[0]):
         raise DataError("zero variance")
-    r = float(np.dot(da, db)) / math.sqrt(va * vb)
-    return min(r * r, 1.0)
+    return float(r2[0])
 
 
-# report records -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Classification metrics bundle for one evaluated pixel set."""
-
-    confusion: ConfusionMatrix
-    oa: float
-    aa: float
-    kappa: float
-    per_class: tuple  # of (sensitivity, specificity), nan when undefined
-    split: str = "test"
-    mcnemar: dict = None
-
-    def to_dict(self) -> dict:
-        return {
-            "oa": self.oa,
-            "aa": self.aa,
-            "kappa": self.kappa,
-            "confusion": self.confusion.counts.tolist(),
-            "n_evaluated": self.confusion.total,
-            "split": self.split,
-            "per_class": [
-                {"class": i + 1, "sensitivity": s, "specificity": p}
-                for i, (s, p) in enumerate(self.per_class)
-            ],
-            **({"mcnemar": self.mcnemar} if self.mcnemar is not None else {}),
-        }
+# report documents -----------------------------------------------------------
 
 
 def metrics_report(cm: ConfusionMatrix, split: str = "test",
-                   mcnemar_result: dict = None) -> MetricsReport:
-    """Assemble OA/AA/kappa and one-vs-rest rates from a confusion matrix."""
+                   mcnemar_result: dict = None) -> dict:
+    """The ``metrics.json`` document: OA/AA/kappa, the confusion counts and
+    one-vs-rest rates (nan when undefined), plus ``mcnemar_result`` if given."""
     oa, aa = oa_aa(cm)
-    return MetricsReport(
-        cm, oa, aa, kappa(cm),
-        tuple(sens_spec(cm, c) for c in range(1, cm.n_class + 1)),
-        split, mcnemar_result,
-    )
+    rates = [sens_spec(cm, c) for c in range(1, cm.n_class + 1)]
+    doc = {
+        "oa": oa,
+        "aa": aa,
+        "kappa": kappa(cm),
+        "confusion": cm.counts.tolist(),
+        "n_evaluated": cm.total,
+        "split": split,
+        "per_class": [{"class": i + 1, "sensitivity": s, "specificity": p}
+                      for i, (s, p) in enumerate(rates)],
+    }
+    if mcnemar_result is not None:
+        doc["mcnemar"] = mcnemar_result
+    return doc
 
 
-@dataclass(frozen=True)
-class InterpretabilityReport:
-    """Entropy/Dunn measures plus the post-hoc correlation summary."""
+def interpretability_report(entropy_per_class: dict, capsule_entropy_per_class: dict,
+                            dunn, r2: np.ndarray, features, references, n_pixels: int) -> dict:
+    """The ``interpretability.json`` document: entropy and Dunn measures plus
+    each reference's best feature, the first maximum of its column of the
+    (features, references) ``r2`` matrix; an all-NaN column has none.
 
-    entropy_per_class: dict  # class id -> entropy (nats)
-    capsule_entropy_per_class: dict
-    dunn: float  # None when fewer than 2 eligible classes
-    r_squared_best: dict  # reference -> {"feature", "r2"}
-    references: tuple
-    n_pixels: int
-    n_features: int
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.entropy_per_class.values()):
-            raise DataError("entropies must be non-negative")
-        if self.dunn is not None and self.dunn < 0:
-            raise DataError("Dunn index must be non-negative")
-        for ref, entry in self.r_squared_best.items():
-            if not 0.0 <= entry["r2"] <= 1.0:
-                raise DataError(f"r2 for {ref} outside [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "entropy_per_class": self.entropy_per_class,
-            "entropy_mean": float(np.mean(list(self.entropy_per_class.values()))),
-            "capsule_entropy_per_class": self.capsule_entropy_per_class,
-            "dunn_index": self.dunn,
-            "r_squared_best": self.r_squared_best,
-            "references": list(self.references),
-            "n_pixels": self.n_pixels,
-            "n_features": self.n_features,
-        }
+    ``dunn`` is None when fewer than 2 classes are eligible. Negative
+    entropies or Dunn index, or a best r2 outside [0, 1], raise DataError.
+    """
+    if any(e < 0 for e in entropy_per_class.values()):
+        raise DataError("entropies must be non-negative")
+    if dunn is not None and dunn < 0:
+        raise DataError("Dunn index must be non-negative")
+    best = {}
+    for ref, column in zip(references, r2.T):
+        if np.isnan(column).all():
+            continue
+        i = int(np.nanargmax(column))  # the first of tied maxima
+        if not 0.0 <= column[i] <= 1.0:
+            raise DataError(f"r2 for {ref} outside [0, 1]")
+        best[ref] = {"feature": features[i], "r2": float(column[i])}
+    return {
+        "entropy_per_class": entropy_per_class,
+        "entropy_mean": float(np.mean(list(entropy_per_class.values()))),
+        "capsule_entropy_per_class": capsule_entropy_per_class,
+        "dunn_index": dunn,
+        "r_squared_best": best,
+        "references": list(references),
+        "n_pixels": n_pixels,
+        "n_features": len(features),
+    }

@@ -17,12 +17,13 @@ features, and any capped subset, span at most b - 2 directions (19 at b = 21).
 
 The head of the i-th non-empty slice reads its weights from the model's
 parameter registry under ``spectral.<i>.*``. ``pixel_features`` is the one
-composition of heads and enhancement that every caller uses; it returns
+composition of heads and enhancement that every forward pass uses; it returns
 the stage-2 conv input [x1, x2] of b + C(b,2) channels. Since x3 = x1 @ T
 is linear and so is the conv before its relu, ``conv_kernel`` folds the
 triangular part of ``caps.conv.w`` into its base part, and no forward
-pass builds x3. Only the cap fit and ``interpret``'s export do. All forward
-routines run on plain arrays or on autodiff tensors.
+pass builds x3. Only the cap fit and ``interpret``'s export, through
+``enhanced_features``, do. All forward routines run on plain arrays or on
+autodiff tensors.
 """
 
 import itertools

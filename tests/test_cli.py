@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hsicaps import cli, data, evaluation, spectral, synthetic, training
-from hsicaps.config import config_from_dict
+from hsicaps.config import RunConfig, config_from_dict, load_config, save_config
 from hsicaps.errors import ConfigError
 from test_training import corrupt_gradients
 
@@ -88,6 +88,35 @@ def test_unknown_config_key_rejected(workspace, tmp_path):
     assert rc == 1
     with pytest.raises(ConfigError, match="typo_key"):
         config_from_dict(config)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("stage1", "triangular_cap", True),
+    ("training", "patch_size", 5.0),
+    ("training", "epochs", "2"),
+    ("training", "enhancement_on", 1),
+    ("training", "learning_rate", False),
+])
+def test_wrongly_typed_config_value_rejected(workspace, tmp_path, section, key, value):
+    config = json.loads(json.dumps(workspace["config"]))
+    config.setdefault(section, {})[key] = value
+    config["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        config_from_dict(config)
+
+
+def test_default_config_round_trips_and_float_fields_take_ints(tmp_path):
+    path = tmp_path / "default.json"
+    save_config(RunConfig(), str(path))
+    assert load_config(str(path)) == RunConfig()
+    cfg = config_from_dict({"training": {"learning_rate": 1, "margin": {"mu": 2}},
+                            "stage1": {"triangular_cap": 7}})
+    assert (cfg.training.learning_rate, cfg.training.margin.mu) == (1, 2)
+    assert cfg.stage1.triangular_cap == 7
 
 
 def test_usage_error_exit_code():
@@ -332,3 +361,114 @@ def test_evaluate_rejects_out_of_bounds_split(workspace, tmp_path):
         "--split", str(split_path), "--out", str(tmp_path / "out"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("content", [
+    '{"seed": 1, "train_fraction": 0.5, "train": [[0, 0]], "te',
+    '{"seed": 1}',
+    '[[0, 0]]',
+    '{"seed": 1, "train_fraction": 0.5, "train": [[0, 0]], "test": [[1, 2, 3]]}',
+    '{"seed": 1, "train_fraction": 0.5, "train": [[0, 0]], "test": ["12"]}',
+    '{"seed": 1, "train_fraction": 0.5, "train": [[0, 0]], "test": [[1.5, 2]]}',
+    '{"seed": 1, "train_fraction": 0.5, "train": [[0, 0]], "test": {"a": 1}}',
+], ids=["truncated", "missing-keys", "not-an-object", "triple", "string-entry",
+        "float-entry", "not-a-list"])
+def test_evaluate_rejects_malformed_split(workspace, tmp_path, capsys, content):
+    split_path = tmp_path / "bad_split.json"
+    split_path.write_text(content)
+    rc = cli.main([
+        "evaluate", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--split", str(split_path), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert f"malformed split file {split_path}" in capsys.readouterr().err
+
+
+def _interpret(workspace, out, *extra):
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--out", str(out), *extra,
+    ])
+    assert rc == 0
+
+
+def test_interpret_rejects_malformed_references(workspace, tmp_path, capsys):
+    coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
+    refs = tmp_path / "refs.csv"
+    lines = ["row,col,ref"] + [f"{r},{c},{0.5 * i}" for i, (r, c) in enumerate(coords)]
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",abc"
+    refs.write_text("\n".join(lines) + "\n")
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--references", str(refs), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert f"malformed reference CSV {refs} at line 3" in capsys.readouterr().err
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--references", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+
+
+def test_interpret_r_squared_csv_matches_oracle(workspace, tmp_path):
+    # r2 of every feature against references with a NaN cell, a constant
+    # column and a column with only 2 finite values, from features.csv
+    _interpret(workspace, tmp_path / "base")
+    lines = (tmp_path / "base" / "features.csv").read_text().splitlines()
+    names = lines[0].split(",")[3:]
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    coords, feats = table[:, :2].astype(int), table[:, 3:]
+    n = len(coords)
+    rng = np.random.default_rng(5)
+    ref_names = ["noisy", "flat", "sparse", "tracks_b1_2"]
+    refs = np.column_stack([rng.normal(size=n), np.full(n, 0.5), np.full(n, np.nan),
+                            feats[:, 1] + 0.1 * rng.normal(size=n)])
+    refs[3, 0] = np.nan
+    refs[[1, 6], 2] = [0.2, 0.9]
+    path = tmp_path / "refs.csv"
+    with open(path, "w") as fh:
+        fh.write("row,col," + ",".join(ref_names) + "\n")
+        for (r, c), vals in zip(coords, refs):
+            fh.write(f"{r},{c}," + ",".join(map(repr, vals.tolist())) + "\n")
+    _interpret(workspace, tmp_path / "out", "--references", str(path))
+
+    want = np.full((len(names), len(ref_names)), np.nan)
+    for j in range(len(ref_names)):
+        valid = np.isfinite(refs[:, j])
+        y = refs[valid, j]
+        if valid.sum() < 3 or (y == y[0]).all():
+            continue
+        for i in range(len(names)):
+            x = feats[valid, i]
+            if not (x == x[0]).all():
+                want[i, j] = np.corrcoef(x, y)[0, 1] ** 2
+    assert np.isnan(want[:, 1:3]).all() and not np.isnan(want[:, [0, 3]]).all()
+
+    got_lines = (tmp_path / "out" / "r_squared.csv").read_text().splitlines()
+    assert got_lines[0] == "feature,reference,r2"
+    cells = [line.split(",") for line in got_lines[1:]]
+    assert [(f, r) for f, r, _ in cells] == [(f, r) for r in ref_names for f in names]
+    got = np.array([float(v) if v else np.nan for _, _, v in cells])
+    got = got.reshape(len(ref_names), len(names)).T
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got[~np.isnan(want)], want[~np.isnan(want)], rtol=0, atol=1e-13)
+
+    best = json.loads((tmp_path / "out" / "interpretability.json").read_text())["r_squared_best"]
+    assert set(best) == {"noisy", "tracks_b1_2"}
+    for j in (0, 3):
+        assert best[ref_names[j]]["feature"] == names[int(np.nanargmax(want[:, j]))]
+        assert abs(best[ref_names[j]]["r2"] - np.nanmax(want[:, j])) <= 1e-13
+
+
+def test_interpret_twice_is_byte_identical(workspace, tmp_path):
+    files = ("features.csv", "r_squared.csv", "lengths.csv", "poses.csv",
+             "conv_kernels.csv", "interpretability.json")
+    for run in ("a", "b"):
+        _interpret(workspace, tmp_path / run)
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

@@ -409,48 +409,92 @@ def test_r_squared_zero_variance():
         ev.r_squared([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
 
+def _textbook_r2(x, y):
+    n = len(x)
+    sx, sy = x.sum(), y.sum()
+    sxy = (x * y).sum()
+    sxx, syy = (x * x).sum(), (y * y).sum()
+    r = (n * sxy - sx * sy) / math.sqrt((n * sxx - sx**2) * (n * syy - sy**2))
+    return r * r
+
+
 def test_r_squared_textbook_oracle(rng):
     for _ in range(30):
         x = rng.normal(size=12)
         y = rng.normal(size=12)
-        n = len(x)
-        sx, sy = x.sum(), y.sum()
-        sxy = (x * y).sum()
-        sxx, syy = (x * x).sum(), (y * y).sum()
-        r = (n * sxy - sx * sy) / math.sqrt((n * sxx - sx**2) * (n * syy - sy**2))
-        assert ev.r_squared(x, y) == pytest.approx(r * r, rel=1e-12)
+        assert ev.r_squared(x, y) == pytest.approx(_textbook_r2(x, y), rel=1e-12)
 
 
-# report records ------------------------------------------------------------
+def test_r_squared_matrix_matches_per_column_oracle(rng):
+    x = rng.normal(size=(40, 7))
+    x[:, 2] = 0.25  # constant columns give NaN, not an error
+    x[:, 5] = -3.0
+    y = rng.normal(size=40)
+    x[:, 6] = 2.0 * y - 1.0
+    got = ev.r_squared(x, y)
+    assert got.shape == (7,)
+    constant = np.array([False, False, True, False, False, True, False])
+    np.testing.assert_array_equal(np.isnan(got), constant)
+    want = np.array([_textbook_r2(x[:, i], y) for i in np.flatnonzero(~constant)])
+    np.testing.assert_allclose(got[~constant], want, rtol=0, atol=1e-13)
+    assert got[6] == pytest.approx(1.0, abs=1e-13)
+    # each column agrees with the 1-D form
+    for i in np.flatnonzero(~constant):
+        assert abs(got[i] - ev.r_squared(x[:, i], y)) <= 1e-13
+    assert np.isnan(ev.r_squared(x, np.full(40, 7.0))).all()
+
+
+def test_r_squared_matrix_checks_lengths():
+    with pytest.raises(DataError, match="equal lengths"):
+        ev.r_squared(np.ones((4, 2)), np.arange(5.0))
+    with pytest.raises(DataError, match="at least 3"):
+        ev.r_squared(np.eye(2), np.arange(2.0))
+
+
+# report documents ----------------------------------------------------------
 
 
 def test_metrics_report_bundle():
     cm = cm_from([[8, 2], [5, 5]])
-    report = ev.metrics_report(cm, split="train")
-    assert report.oa == pytest.approx(0.65)
-    assert report.kappa == pytest.approx(0.3)
-    doc = report.to_dict()
+    doc = ev.metrics_report(cm, split="train")
+    assert doc["oa"] == pytest.approx(0.65)
+    assert doc["aa"] == pytest.approx(0.65)
+    assert doc["kappa"] == pytest.approx(0.3)
+    assert doc["confusion"] == [[8, 2], [5, 5]]
     assert doc["split"] == "train"
     assert doc["n_evaluated"] == 20
-    assert doc["per_class"][0]["sensitivity"] == pytest.approx(0.8)
+    assert doc["per_class"][0] == {"class": 1, "sensitivity": pytest.approx(0.8),
+                                   "specificity": pytest.approx(0.5)}
     assert "mcnemar" not in doc
     with_mc = ev.metrics_report(cm, mcnemar_result={"note": "no discordant pairs"})
-    assert with_mc.to_dict()["mcnemar"]["note"] == "no discordant pairs"
+    assert with_mc["split"] == "test"
+    assert with_mc["mcnemar"]["note"] == "no discordant pairs"
 
 
 def test_interpretability_report_invariants():
-    good = ev.InterpretabilityReport(
+    r2 = np.array([[0.2, np.nan, np.nan],
+                   [0.9, np.nan, 0.4],
+                   [0.9, np.nan, 0.1]])
+    good = ev.interpretability_report(
         entropy_per_class={1: 0.5, 2: 1.2},
         capsule_entropy_per_class={1: 0.1, 2: 0.2},
         dunn=2.0,
-        r_squared_best={"NDVI": {"feature": "b1_1", "r2": 0.9}},
-        references=("NDVI",),
+        r2=r2,
+        features=["b1_1", "b1_2", "b1_3"],
+        references=("NDVI", "blank", "PRI"),
         n_pixels=10,
-        n_features=3,
     )
-    assert good.to_dict()["entropy_mean"] == pytest.approx(0.85)
-    with pytest.raises(DataError):
-        ev.InterpretabilityReport({1: -0.1}, {}, None, {}, (), 1, 1)
-    with pytest.raises(DataError):
-        ev.InterpretabilityReport({1: 0.1}, {}, None,
-                                  {"x": {"feature": "f", "r2": 1.5}}, (), 1, 1)
+    assert good["entropy_mean"] == pytest.approx(0.85)
+    assert good["references"] == ["NDVI", "blank", "PRI"]
+    assert good["dunn_index"] == 2.0
+    assert (good["n_pixels"], good["n_features"]) == (10, 3)
+    # the first of tied maxima wins; an all-NaN reference has no best feature
+    assert good["r_squared_best"] == {"NDVI": {"feature": "b1_2", "r2": 0.9},
+                                      "PRI": {"feature": "b1_2", "r2": 0.4}}
+    empty = np.zeros((1, 0))
+    with pytest.raises(DataError, match="entropies"):
+        ev.interpretability_report({1: -0.1}, {}, None, empty, ["f"], (), 1)
+    with pytest.raises(DataError, match="Dunn"):
+        ev.interpretability_report({1: 0.1}, {}, -0.5, empty, ["f"], (), 1)
+    with pytest.raises(DataError, match="outside"):
+        ev.interpretability_report({1: 0.1}, {}, None, np.array([[1.5]]), ["f"], ["x"], 1)
