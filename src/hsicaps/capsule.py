@@ -6,7 +6,9 @@ vectors (squashed so lengths live in [0, 1)), and a class-capsule layer
 whose coupling coefficients are refined by agreement routing. Every
 routine is batched over a leading sample axis and takes its weights as
 arguments (plain arrays or autodiff tensors); the model passes them in
-from its parameter registry.
+from its parameter registry. Everything after the relu convolution is
+one capsule block (``model._capsules``), which the per-patch forward and
+the whole-scene path both call.
 """
 
 import numpy as np
@@ -44,27 +46,20 @@ def squash(u, axis=-1):
     return ad.mul(ad.div(u, n), ad.div(s, ad.add(s, 1.0)))
 
 
-def pose_vectors(raw, count: int):
-    """Primary-conv output (N, H2, W2, count * dim) -> (N, M, dim) squashed poses.
+def primary_capsules_batch(x, kernels, count: int, stride: int = 1):
+    """(N, H, W, C) -> (N, M, dim) squashed pose vectors.
 
-    Pose m enumerates (capsule, row, col) in C order and every pose is
-    squashed independently.
+    ``count`` capsules of ``dim = kernels.shape[0] // count`` linear conv
+    neurons each run over the map. Pose m enumerates (capsule, row, col)
+    in C order and every pose is squashed independently.
     """
+    raw = conv2d_batch(x, kernels, None, stride, "identity")
     N, H2, W2, zk = ad.shape_of(raw)
     dim = zk // count
     poses = ad.reshape(raw, (N, H2, W2, count, dim))
     poses = ad.transpose(poses, (0, 3, 1, 2, 4))
     poses = ad.reshape(poses, (N, count * H2 * W2, dim))
     return squash(poses, axis=-1)
-
-
-def primary_capsules_batch(x, kernels, count: int, stride: int = 1):
-    """(N, H, W, C) -> (N, M, dim) squashed pose vectors.
-
-    ``count`` capsules of ``dim = kernels.shape[0] // count`` linear conv
-    neurons each run over the map (see ``pose_vectors``).
-    """
-    return pose_vectors(conv2d_batch(x, kernels, None, stride, "identity"), count)
 
 
 def predict_vectors(poses, weights, biases):

@@ -163,8 +163,7 @@ def _build(cls, doc, path):
     for key, val in doc.items():
         f = names[key]
         sub = f"{path}.{key}" if path else key
-        if dataclasses.is_dataclass(f.type) or f.type in (SpectralConfig, CapsuleConfig,
-                                                          TrainConfig, MarginLossConfig):
+        if dataclasses.is_dataclass(f.type):
             kwargs[key] = _build(f.type, val, sub)
         else:
             _check_scalar(f, val, sub)

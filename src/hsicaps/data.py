@@ -175,8 +175,9 @@ def write_cube(cube: HsiCube, header_path: str, data_path: str = None) -> None:
 def load_cube(header_path: str) -> HsiCube:
     """Load a cube from its JSON header.
 
-    Raises DataError on missing files, dimension/wavelength mismatches or
-    non-finite samples (reported with their flat offset).
+    Raises DataError on missing files, mistyped header entries,
+    dimension/wavelength mismatches or non-finite samples (reported with
+    their flat offset).
     """
     if not os.path.exists(header_path):
         raise DataError(f"cube header not found: {header_path}")
@@ -190,8 +191,16 @@ def load_cube(header_path: str) -> HsiCube:
             raise DataError(f"cube header missing key {key!r}")
     if header["dtype"] != "f32le" or header["interleave"] != "bip":
         raise DataError("unsupported cube encoding (expected f32le / bip)")
-    h, w, b = int(header["height"]), int(header["width"]), int(header["bands"])
-    wavelengths = tuple(float(x) for x in header["wavelengths_nm"])
+    h, w, b = dims = [header[key] for key in ("height", "width", "bands")]
+    if not all(is_int(v) and v > 0 for v in dims):
+        raise DataError(f"cube header height, width and bands must be positive integers, "
+                        f"got {dims}")
+    listed = header["wavelengths_nm"]
+    if not (isinstance(listed, list) and all(map(is_number, listed))):
+        raise DataError("cube header wavelengths_nm must be a list of numbers")
+    wavelengths = tuple(float(x) for x in listed)
+    if not isinstance(header["data_file"], str):
+        raise DataError("cube header data_file must be a file name")
     if len(wavelengths) != b:
         raise DataError(
             f"wavelength count mismatch: header declares {b} bands "
@@ -354,9 +363,18 @@ def save_split(split: SampleSplit, path: str) -> None:
         fh.write("\n")
 
 
+def is_int(v) -> bool:
+    """True for a JSON integer (a Python int that is not a bool)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """True for a JSON number (int or float, not bool)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_pixel(rc) -> bool:
-    return (isinstance(rc, list) and len(rc) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in rc))
+    return isinstance(rc, list) and len(rc) == 2 and all(map(is_int, rc))
 
 
 def load_split(path: str) -> SampleSplit:

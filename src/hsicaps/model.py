@@ -4,14 +4,16 @@ All parameters live in one ordered ``dict[name, array | Tensor]``. Its
 insertion order, written down once in ``param_spec``, is both the rng
 draw order at init and the checkpoint order. The forward pass maps a
 batch of patches to class-capsule activities: per-pixel stage-1 features
-(``spectral.pixel_features``) -> spatial convolution -> primary capsules
--> routed class capsules. The spatial convolution runs on the base
-features and their binary index with ``spectral.conv_kernel``, the
-registry's ``caps.conv.w`` with its triangular-index part folded in.
-With tracked parameters the same code builds the training graph; with
-detached parameters it runs as plain numpy.
-Inference runs the same layers fully convolutionally over row tiles of a
-whole scene (``scene_forward``), so each pixel's spectrum is processed once.
+(``spectral.pixel_features``) -> spatial convolution -> the capsule
+block (``_capsules``: primary capsules -> routed class capsules). The
+spatial convolution runs on the base features and their binary index
+with ``spectral.conv_kernel``, the registry's ``caps.conv.w`` with its
+triangular-index part folded in. With tracked parameters the same code
+builds the training graph; with detached parameters it runs as plain
+numpy. Inference runs the pixel features and the spatial convolution
+fully convolutionally over row tiles of a whole scene (``scene_forward``),
+so each pixel's spectrum is processed once, and then feeds every centre's
+conv window through the same capsule block.
 """
 
 import copy
@@ -28,7 +30,8 @@ from .errors import DataError, NumericError
 # tile: the stage-2 unfold holds about (tile + patch) * (width + patch)
 # * conv_kernel^2 * (b + C(b,2)) doubles, the folded conv's input width.
 SCENE_TILE_ROWS = 8
-# Centres per pass through the class-capsule tail, as in predict_lengths.
+# Patches per ``forward`` call in predict_lengths, and centres per
+# ``_capsules`` call in scene_forward.
 TAIL_BATCH = 64
 
 
@@ -168,16 +171,17 @@ def forward(model: Model, patches: np.ndarray):
     fmap = ad.reshape(feats, (N, s1, s2, ad.shape_of(feats)[-1]))
     o = capsule.conv2d_batch(fmap, spectral.conv_kernel(model), p["caps.conv.b"],
                              cfg.stage2.conv_stride, "relu")
-    poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], cfg.stage2.capsules,
-                                           cfg.stage2.capsule_stride)
-    return _class_capsules(model, poses)
+    return _capsules(model, o)
 
 
-def _class_capsules(model: Model, poses) -> dict:
-    """Routed class capsules of squashed primary poses (N, M, K)."""
-    p = model.params
+def _capsules(model: Model, o) -> dict:
+    """The capsule block of stage-2 conv maps o (N, h1, h1, J): squashed
+    primary poses and their routed class capsules, the keys of ``forward``."""
+    p, s2 = model.params, model.config.stage2
+    poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], s2.capsules,
+                                           s2.capsule_stride)
     u_hat = capsule.predict_vectors(poses, p["caps.class.w"], p["caps.class.b"])
-    v, _, _ = capsule.dynamic_routing(u_hat, model.config.stage2.routing_iterations)
+    v, _, _ = capsule.dynamic_routing(u_hat, s2.routing_iterations)
     return {"poses": poses, "v": v, "lengths": ad.norm(v, axis=-1)}
 
 
@@ -189,20 +193,15 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
     The cube is reflect-padded once, as ``data.extract_patch_batch`` does,
     so every patch is a window of the same array. Per tile of ``tile_rows``
     centre rows (plus a patch // 2 halo each side; tiles without a centre
-    are skipped) the spectral head and enhancement run once per pixel and
-    the stage-2 and primary convolutions once per position of the tile.
-    The folded stage-2 kernel is built once per call.
-    A stage-2 conv stride above 1 dilates the primary conv; it runs over
-    each stride phase of the stride-1 conv map that some centre needs.
-    Each centre reads its h2 x h2 window off that map, and only the
-    centres go through the class-capsule tail. Rows follow ``coords``,
-    duplicates included.
+    are skipped) the spectral head, enhancement and stride-1 stage-2 conv
+    run once per pixel; the folded stage-2 kernel is built once per call.
+    Each centre's h1 x h1 window of that map, at the conv stride, is the
+    stage-2 output of its patch, and the windows go through ``forward``'s
+    capsule block. Rows follow ``coords``, duplicates included.
     """
     mdl = model.detached()
-    p, s2, size = mdl.params, mdl.config.stage2, mdl.patch_size
-    st1, st2 = s2.conv_stride, s2.capsule_stride
-    h2 = ((size - s2.conv_kernel) // st1 + 1 - s2.capsule_kernel) // st2 + 1
-    span = (h2 - 1) * st2 + 1
+    p, size, stride = mdl.params, mdl.patch_size, mdl.config.stage2.conv_stride
+    width = size - mdl.config.stage2.conv_kernel + 1  # stride-1 conv positions per patch
     padded = data.reflect_pad(norm_cube, size)
     rc = data.centre_array(norm_cube, coords)
     M, n_class, D, K = p["caps.class.w"].shape
@@ -217,29 +216,20 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
         R, W, B = rows.shape
         feats = spectral.pixel_features(rows.reshape(R * W, B), mdl)
         o = capsule.conv2d_batch(feats.reshape(1, R, W, -1), kernel, p["caps.conv.b"], 1,
-                                 "relu")
-        lr, lc = rc[ids, 0] - r0, rc[ids, 1]
-        phase = (lr % st1) * st1 + lc % st1
-        for ph in np.unique(phase):
-            py, px = divmod(int(ph), st1)
-            sel = phase == ph
-            prim = capsule.conv2d_batch(o[:, py::st1, px::st1], p["caps.primary.w"],
-                                        None, 1, "identity")[0]
-            windows = sliding_window_view(prim, (span, span), axis=(0, 1))[..., ::st2, ::st2]
-            raw = windows[lr[sel] // st1, lc[sel] // st1].transpose(0, 2, 3, 1)
-            dest = ids[sel]
-            for lo in range(0, len(dest), TAIL_BATCH):
-                poses = capsule.pose_vectors(raw[lo : lo + TAIL_BATCH], s2.capsules)
-                for key, val in _class_capsules(mdl, poses).items():
-                    out[key][dest[lo : lo + TAIL_BATCH]] = val
+                                 "relu")[0]
+        windows = sliding_window_view(o, (width, width), axis=(0, 1))[..., ::stride, ::stride]
+        o_centres = windows[rc[ids, 0] - r0, rc[ids, 1]].transpose(0, 2, 3, 1)
+        for lo in range(0, len(ids), TAIL_BATCH):
+            for key, val in _capsules(mdl, o_centres[lo : lo + TAIL_BATCH]).items():
+                out[key][ids[lo : lo + TAIL_BATCH]] = val
     return out
 
 
-def predict_lengths(model: Model, patches: np.ndarray, batch_size: int = TAIL_BATCH) -> np.ndarray:
+def predict_lengths(model: Model, patches: np.ndarray) -> np.ndarray:
     """Class-capsule lengths for many patches using a detached model."""
     detached = model.detached()
     chunks = []
-    for lo in range(0, patches.shape[0], batch_size):
-        out = forward(detached, patches[lo : lo + batch_size])
+    for lo in range(0, patches.shape[0], TAIL_BATCH):
+        out = forward(detached, patches[lo : lo + TAIL_BATCH])
         chunks.append(np.asarray(out["lengths"]))
     return np.concatenate(chunks, axis=0)

@@ -21,10 +21,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data, model as model_mod, spectral
-from .config import MarginLossConfig, RunConfig
-from .errors import DataError, NumericError
+from .config import MarginLossConfig, RunConfig, config_from_dict, config_to_dict
+from .errors import ConfigError, DataError, NumericError
 
 CHECKPOINT_FORMAT = "hsicaps-checkpoint-v1"
+# Manifest entries that loading and check_cube_compatible read.
+MANIFEST_KEYS = ("config", "n_class", "wavelengths_nm", "slices", "slice_band_indices",
+                 "tri_combos", "params")
 
 
 # losses ---------------------------------------------------------------
@@ -282,23 +285,6 @@ def predict_map(mdl: model_mod.Model, cube: data.HsiCube, coords=None) -> np.nda
     return out
 
 
-# interpretability helpers ----------------------------------------------
-
-
-def capsule_activity_entropy(mdl: model_mod.Model, cube: data.HsiCube,
-                             labels: data.LabelMap, coords) -> float:
-    """Mean per-class entropy of |class-capsule activities| at ``coords``.
-
-    The activity tensor has the same width for every ablation variant,
-    so this value is comparable across them.
-    """
-    from .evaluation import entropy_per_class
-
-    v = model_mod.scene_forward(mdl, data.normalize_cube(cube), coords)["v"]
-    ents = entropy_per_class(v.reshape(v.shape[0], -1), data.pixels_at(labels.labels, coords))
-    return float(np.mean([e for cls, e in ents.items() if cls > 0]))
-
-
 # checkpoints ------------------------------------------------------------
 
 
@@ -306,8 +292,6 @@ def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
                     wavelengths) -> None:
     """Single-file checkpoint: one JSON manifest line, then the raw
     little-endian float64 parameter blob in registry order."""
-    from .config import config_to_dict
-
     entries = mdl.params.items()
     manifest = {
         "format": CHECKPOINT_FORMAT,
@@ -332,10 +316,65 @@ def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
     os.replace(tmp, path)
 
 
+def _manifest_fields(manifest) -> tuple:
+    """(config, slices, n_class, tri_combos) of a checkpoint manifest.
+
+    Raises DataError when an entry that loading or ``check_cube_compatible``
+    reads is missing or malformed, so such a checkpoint is never used.
+    """
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+        raise DataError("unrecognized checkpoint format")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise DataError(f"checkpoint manifest missing key {missing[0]!r}")
+
+    def malformed(key, want):
+        return DataError(f"malformed checkpoint manifest: {key} must be {want}")
+
+    n_class, wavelengths = manifest["n_class"], manifest["wavelengths_nm"]
+    slices, indices = manifest["slices"], manifest["slice_band_indices"]
+    if not (data.is_int(n_class) and n_class >= 1):
+        raise malformed("n_class", "a positive integer")
+    if not (isinstance(wavelengths, list) and all(map(data.is_number, wavelengths))):
+        raise malformed("wavelengths_nm", "a list of numbers")
+    if not (isinstance(slices, list) and all(
+            isinstance(s, list) and len(s) == 3 and isinstance(s[0], str)
+            and all(map(data.is_number, s[1:])) for s in slices)):
+        raise malformed("slices", "a list of [name, lower_nm, upper_nm]")
+    if not (isinstance(indices, list) and len(indices) == len(slices) and all(
+            isinstance(ix, list) and all(map(data.is_int, ix)) and ix == sorted(set(ix))
+            and all(0 <= i < len(wavelengths) for i in ix) for ix in indices)):
+        raise malformed("slice_band_indices", "one ascending list of band indices per slice")
+    params = manifest["params"]
+    if not (isinstance(params, list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list) and all(map(data.is_int, e["shape"]))
+            for e in params)):
+        raise malformed("params", "a list of {name, shape} entries")
+    try:
+        config = config_from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise DataError(f"malformed checkpoint manifest: config: {exc}") from exc
+    slices = data.BandSliceSet(tuple(map(tuple, slices)), tuple(map(tuple, indices)))
+    tri = manifest["tri_combos"]
+    if tri is None:
+        return config, slices, n_class, None
+    b = len(slices.non_empty()) * n_class
+    try:
+        tri = np.asarray(tri)
+    except ValueError:  # ragged rows
+        tri = None
+    if not (tri is not None and tri.ndim == 2 and tri.shape[0] >= 1 and tri.shape[1] == 3
+            and np.issubdtype(tri.dtype, np.integer)
+            and np.all((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1])
+                       & (tri[:, 1] < tri[:, 2]) & (tri[:, 2] < b))):
+        raise malformed("tri_combos", f"null or an (S, 3) integer array of triples "
+                        f"0 <= i < j < h < {b}")
+    return config, slices, n_class, tri.astype(np.intp)
+
+
 def load_checkpoint(path: str):
     """Rebuild (model, config, manifest) from a checkpoint file."""
-    from .config import config_from_dict
-
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
@@ -345,16 +384,7 @@ def load_checkpoint(path: str):
         manifest = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed checkpoint manifest: {exc}") from exc
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise DataError("unrecognized checkpoint format")
-    config = config_from_dict(manifest["config"])
-    slices = data.BandSliceSet(
-        tuple(tuple(s) for s in manifest["slices"]),
-        tuple(tuple(ix) for ix in manifest["slice_band_indices"]),
-    )
-    tri = manifest["tri_combos"]
-    tri_combos = None if tri is None else np.asarray(tri, dtype=np.intp)
-    n_class = int(manifest["n_class"])
+    config, slices, n_class, tri_combos = _manifest_fields(manifest)
     spec = model_mod.param_spec(slices, n_class, config,
                                 None if tri_combos is None else len(tri_combos))
     want = [(name, tuple(shape)) for name, shape, _, _ in spec]

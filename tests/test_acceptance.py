@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from hsicaps import capsule, cli, data, evaluation, spectral, synthetic, training
+from hsicaps import capsule, cli, data, evaluation, model as model_mod, spectral, synthetic
+from hsicaps import training
 from hsicaps.config import MarginLossConfig, RunConfig
 from hsicaps.errors import DataError
 
@@ -58,8 +59,13 @@ def trained(dataset):
         started = time.perf_counter()
         result = training.train(cube, labels, split, run_config(variant))
         elapsed = time.perf_counter() - started
-        entropy = training.capsule_activity_entropy(result.model, cube, labels,
-                                                    split.test_indices)
+        # mean per-class entropy of |class-capsule activities| on the test
+        # pixels; the activity width is the same for every variant
+        v = model_mod.scene_forward(result.model, data.normalize_cube(cube),
+                                    split.test_indices)["v"]
+        ents = evaluation.entropy_per_class(v.reshape(len(v), -1),
+                                            data.pixels_at(labels.labels, split.test_indices))
+        entropy = float(np.mean([e for cls, e in ents.items() if cls > 0]))
         out[variant] = {"result": result, "elapsed": elapsed, "entropy": entropy}
     return out
 
@@ -191,17 +197,46 @@ def test_criterion_05_synthetic_end_to_end(dataset, trained, tmp_path):
 # 6. ablation direction -----------------------------------------------------------
 
 
+def multiply_adds_per_patch(mdl):
+    """Forward multiply-adds of one training patch, counted from the registry
+    shapes: each weight array's size times the positions it runs at. The
+    binary index's fixed pair matrices are left out; model1 and model2 run
+    without enhancement."""
+    p, s1, s2 = mdl.detached().params, mdl.config.stage1, mdl.config.stage2
+    per_pixel = 0
+    for i, (_, bands) in enumerate(mdl.slices.non_empty()):
+        pre = f"spectral.{i}"
+        if f"{pre}.dense.w" in p:
+            per_pixel += p[f"{pre}.dense.w"].size
+        else:
+            l1 = (len(bands) - s1.conv1_width) // s1.stride + 1
+            l2 = (l1 - s1.conv2_width) // s1.stride + 1
+            per_pixel += p[f"{pre}.conv1.w"].size * l1 + p[f"{pre}.conv2.w"].size * l2
+        per_pixel += p[f"{pre}.fc1.w"].size + p[f"{pre}.fc2.w"].size
+    h1 = (mdl.patch_size - s2.conv_kernel) // s2.conv_stride + 1
+    h2 = (h1 - s2.capsule_kernel) // s2.capsule_stride + 1
+    M, n_class, D, _ = p["caps.class.w"].shape
+    return (per_pixel * mdl.patch_size ** 2
+            + np.asarray(spectral.conv_kernel(mdl.detached())).size * h1 * h1
+            + p["caps.primary.w"].size * h2 * h2
+            + p["caps.class.w"].size + 2 * s2.routing_iterations * M * n_class * D
+            + p["decoder.fc1.w"].size + p["decoder.fc2.w"].size)
+
+
 def test_criterion_06_ablation_direction(trained):
     ent = {k: v["entropy"] for k, v in trained.items()}
     test_oa = {k: v["result"].history[-1][3] for k, v in trained.items()}
     per_epoch = {k: float(np.min(v["result"].epoch_seconds)) for k, v in trained.items()}
+    macs = {k: multiply_adds_per_patch(trained[k]["result"].model) for k in ("model1", "model2")}
     assert ent["model3"] <= ent["model1"], f"entropy {ent}"
     assert test_oa["model3"] >= test_oa["model2"], f"test OA {test_oa}"
     assert test_oa["model2"] >= test_oa["model1"] - 0.02, f"test OA {test_oa}"
+    assert macs["model2"] <= macs["model1"], f"multiply-adds per patch {macs}"
     assert per_epoch["model2"] <= per_epoch["model1"], f"per-epoch {per_epoch}"
     report(6, f"entropy m3 {ent['model3']:.3f} <= m1 {ent['model1']:.3f}; "
               f"test OA m3 {test_oa['model3']:.3f} >= m2 {test_oa['model2']:.3f} "
-              f">= m1-2pt; per-epoch m2 {per_epoch['model2']:.3f}s <= "
+              f">= m1-2pt; multiply-adds per patch m2 {macs['model2']:,} <= "
+              f"m1 {macs['model1']:,}; per-epoch m2 {per_epoch['model2']:.3f}s <= "
               f"m1 {per_epoch['model1']:.3f}s")
 
 

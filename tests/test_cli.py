@@ -1,5 +1,6 @@
 """End-to-end command-line runs on a small synthetic dataset."""
 
+import itertools
 import json
 import math
 import os
@@ -249,6 +250,69 @@ def test_predict_shape_mismatch(workspace, tmp_path):
     rc = cli.main(["predict", "--checkpoint", workspace["checkpoint"],
                    "--cube", cube_path])
     assert rc == 2
+
+
+def _triples(manifest, first):
+    """Every triple of the manifest's base features, in order, with the
+    first replaced by ``first``: as many rows as the full registry needs."""
+    b = sum(1 for ix in manifest["slice_band_indices"] if ix) * manifest["n_class"]
+    return [list(first)] + [list(t) for t in itertools.combinations(range(b), 3)][1:]
+
+
+MALFORMED_MANIFESTS = {
+    "slices missing": lambda m: {k: v for k, v in m.items() if k != "slices"},
+    "tri_combos missing": lambda m: {k: v for k, v in m.items() if k != "tri_combos"},
+    "triple index past b": lambda m: {**m, "tri_combos": _triples(m, [0, 1, 99])},
+    "ragged triples": lambda m: {**m, "tri_combos": _triples(m, [0, 1])},
+    "unordered triple": lambda m: {**m, "tri_combos": _triples(m, [2, 1, 0])},
+    "triple with i = j": lambda m: {**m, "tri_combos": _triples(m, [0, 0, 1])},
+    "triple with j = h": lambda m: {**m, "tri_combos": _triples(m, [0, 1, 1])},
+    "negative triple index": lambda m: {**m, "tri_combos": _triples(m, [-1, 0, 1])},
+    "float triple": lambda m: {**m, "tri_combos": _triples(m, [0.0, 1.0, 2.0])},
+    "n_class as text": lambda m: {**m, "n_class": "3"},
+    "band index past the cube": lambda m: {
+        **m, "slice_band_indices": [m["slice_band_indices"][0][:-1] + [99]]
+        + m["slice_band_indices"][1:]},
+    "descending band indices": lambda m: {
+        **m, "slice_band_indices": [m["slice_band_indices"][0][::-1]]
+        + m["slice_band_indices"][1:]},
+    "wavelengths not a list": lambda m: {**m, "wavelengths_nm": None},
+    "parameter entry not an object": lambda m: {**m, "params": ["x"] + m["params"][1:]},
+    "config not an object": lambda m: {**m, "config": []},
+    "manifest not an object": lambda m: [m],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+def test_predict_rejects_malformed_manifest(workspace, tmp_path, capsys, edit):
+    with open(workspace["checkpoint"], "rb") as fh:
+        manifest, blob = json.loads(fh.readline()), fh.read()
+    assert manifest["tri_combos"] is None  # every triple, so _triples fits the registry
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(json.dumps(edit(manifest)).encode("utf-8") + b"\n" + blob)
+    out = tmp_path / "out"
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--cube", workspace["cube"],
+                   "--out", str(out)])
+    assert rc == 2
+    assert "checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("height", "x"), ("width", 2.5), ("bands", True),
+                                        ("height", -8), ("wavelengths_nm", "400"),
+                                        ("wavelengths_nm", [400.0] * 19 + ["x"]),
+                                        ("data_file", 5)])
+def test_predict_rejects_mistyped_cube_header(workspace, tmp_path, capsys, key, value):
+    with open(workspace["cube"], encoding="utf-8") as fh:
+        header = json.load(fh)
+    header["data_file"] = os.path.join(os.path.dirname(workspace["cube"]), header["data_file"])
+    header[key] = value
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(header))
+    rc = cli.main(["predict", "--checkpoint", workspace["checkpoint"], "--cube", str(cube),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "cube header" in capsys.readouterr().err
 
 
 def test_interpret_report(workspace, tmp_path):

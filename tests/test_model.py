@@ -208,9 +208,7 @@ def unfolded_forward(mdl, patches):
     fmap = ad.reshape(feats, (N, s, s, mdl.f_n))
     o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"],
                              cfg.stage2.conv_stride, "relu")
-    poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], cfg.stage2.capsules,
-                                           cfg.stage2.capsule_stride)
-    return model_mod._class_capsules(mdl, poses)
+    return model_mod._capsules(mdl, o)
 
 
 def fold_setups():
