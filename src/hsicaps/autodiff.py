@@ -1,7 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Tensor` wraps a float64 ndarray, so a scalar loss can be
-backpropagated to every parameter with ``backward(loss)``.
+backpropagated to every parameter with ``backward(loss)``. A leaf
+Tensor may wrap a view of a larger array (the model's parameters view
+one flat vector), since ``Tensor`` does not copy float64 input.
 
 Every op follows one rule: it computes its forward value with numpy and
 passes it to ``_node`` with one ``(input, vjp)`` pair per input, where
@@ -12,9 +14,6 @@ both the training graph and plain (inference / inspection) evaluation.
 Otherwise it returns a Tensor that keeps the tracked pairs, and
 ``backward`` walks them in reverse topological order, adding each VJP
 into its input's ``.grad``. An input passed twice receives both VJPs.
-
-``split`` is the inverse of ``concat`` on the last axis: each part's VJP
-places its gradient in its own slice of zeros.
 
 Hinge-style kinks (relu, clip) use the zero-side subgradient.
 """
@@ -218,24 +217,6 @@ def concat(xs, axis):
 
     return _node(np.concatenate(vals, axis=axis),
                  *((x, part(lo, hi)) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])))
-
-
-def split(x, sizes):
-    """Consecutive last-axis parts of the given widths (the inverse of ``concat``)."""
-    xv = _val(x)
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    if offsets[-1] != xv.shape[-1]:
-        raise ValueError(f"split widths {tuple(sizes)} do not sum to {xv.shape[-1]}")
-
-    def part(lo, hi):
-        def vjp(g):
-            gx = np.zeros_like(xv)
-            gx[..., lo:hi] = g
-            return gx
-
-        return _node(xv[..., lo:hi], (x, vjp))
-
-    return [part(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 # sliding windows (valid convolution support) --------------------------

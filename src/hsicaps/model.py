@@ -1,8 +1,11 @@
 """Full network assembly: the parameter registry and the batched forward.
 
-All parameters live in one ordered ``dict[name, array | Tensor]``. Its
-insertion order, written down once in ``param_spec``, is both the rng
-draw order at init and the checkpoint order. The forward pass maps a
+All parameters live in one flat float64 vector, ``Model.theta``, laid out
+in the order that ``param_spec`` writes down once: it is the rng draw
+order at init, the gradient's and Adam's layout and the checkpoint blob.
+``Model.params`` maps each name to a view of its slice of ``theta``, a
+tracked Tensor in training and a plain array when detached, so every
+in-place update of ``theta`` shows through the views. The forward pass maps a
 batch of patches to class-capsule activities: per-pixel stage-1 features
 (``spectral.pixel_features``) -> spatial convolution -> the capsule
 block (``_capsules``: primary capsules -> routed class capsules). The
@@ -17,7 +20,8 @@ conv window through the same capsule block.
 """
 
 import copy
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,31 +99,48 @@ def param_spec(slices, n_class: int, config, tri_cap: int = None) -> list:
     return spec
 
 
-def init_params(spec, rng) -> dict:
-    """Tracked registry: Glorot-uniform ``.w`` drawn in spec order, zero ``.b``."""
-    return {
-        name: ad.parameter(np.zeros(shape) if fan_in is None
-                           else ad.glorot_uniform(rng, shape, fan_in, fan_out))
-        for name, shape, fan_in, fan_out in spec
-    }
+def init_params(spec, rng) -> np.ndarray:
+    """Flat theta: each Glorot-uniform ``.w`` drawn into its slice in spec
+    order, ``.b`` left zero."""
+    shapes = [shape for _, shape, _, _ in spec]
+    theta = np.zeros(sum(map(math.prod, shapes)))
+    for (_, shape, fan_in, fan_out), view in zip(spec, views(theta, shapes)):
+        if fan_in is not None:
+            view[...] = ad.glorot_uniform(rng, shape, fan_in, fan_out)
+    return theta
 
 
-def check_finite(params) -> None:
-    """Raise NumericError naming the first parameter holding a non-finite value."""
-    for name, t in params.items():
-        if not np.all(np.isfinite(ad.value(t))):
-            raise NumericError(f"non-finite values in parameter {name}")
+def views(vec, shapes: list) -> list:
+    """Consecutive slices of flat ``vec``, one per shape, each in its shape."""
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(vec, cuts), shapes)]
+
+
+def check_finite(model) -> None:
+    """Raise NumericError naming the first non-finite entry of ``theta``."""
+    if not np.isfinite(model.theta).all():
+        where = model.name_of(int(np.argmin(np.isfinite(model.theta))))
+        raise NumericError(f"non-finite values in parameter {where}")
 
 
 @dataclass
 class Model:
     """The parameter registry plus what the forward pass reads besides it."""
 
-    params: dict  # name -> array or Tensor, in param_spec order
+    theta: np.ndarray  # every parameter, flat float64, in param_spec order
+    params: dict  # name -> view of theta (Tensor or array), in param_spec order
     config: object  # RunConfig
     slices: object  # segmented BandSliceSet
     n_class: int
     tri_combos: object = None  # (S, 3) int array, or None for all triples
+
+    @classmethod
+    def tracked(cls, theta, spec, config, slices, n_class, tri_combos=None):
+        """Model over flat ``theta`` laid out by ``spec``, with tracked views."""
+        shapes = [shape for _, shape, *_ in spec]
+        params = {name: ad.Tensor(view, requires_grad=True)
+                  for (name, *_), view in zip(spec, views(theta, shapes))}
+        return cls(theta, params, config, slices, n_class, tri_combos)
 
     @property
     def patch_size(self):
@@ -131,10 +152,17 @@ class Model:
         with enhancement on (the conv itself runs on the first two groups)."""
         return ad.value(self.params["caps.conv.w"]).shape[3]
 
+    def name_of(self, i: int) -> str:
+        """``name[j]`` of flat index ``i`` of theta: the parameter holding it
+        and its index within that parameter."""
+        for name, t in self.params.items():
+            if i < ad.value(t).size:
+                return f"{name}[{i}]"
+            i -= ad.value(t).size
+
     def detached(self):
-        check_finite(self.params)
-        params = {k: ad.value(v) for k, v in self.params.items()}
-        return Model(params, self.config, self.slices, self.n_class, self.tri_combos)
+        check_finite(self)
+        return replace(self, params={k: ad.value(v) for k, v in self.params.items()})
 
 
 def init_model(slices, n_class: int, run_cfg, rng, tri_cap: int = None) -> Model:
@@ -143,10 +171,11 @@ def init_model(slices, n_class: int, run_cfg, rng, tri_cap: int = None) -> Model
     ``tri_cap`` sizes the registry for that many kept triples (None keeps
     every triple); the caller then sets the fitted ``tri_combos``.
     """
-    params = init_params(param_spec(slices, n_class, run_cfg, tri_cap), rng)
+    spec = param_spec(slices, n_class, run_cfg, tri_cap)
     # forward reads strides, routing and enhancement from the config, so the
     # model owns a copy that later edits of the caller's config cannot reach
-    return Model(params, copy.deepcopy(run_cfg), slices, n_class)
+    return Model.tracked(init_params(spec, rng), spec, copy.deepcopy(run_cfg), slices,
+                         n_class)
 
 
 def forward(model: Model, patches: np.ndarray):

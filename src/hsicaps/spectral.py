@@ -243,9 +243,13 @@ def conv_kernel(model):
     if not model.config.training.enhancement_on:
         return w
     b = len(model.slices.non_empty()) * model.n_class
-    tri = triangular_matrix(b, model.tri_combos)
-    w_base, w_bin, w_tri = ad.split(w, (b, math.comb(b, 2), tri.shape[1]))
-    return ad.concat([ad.add(w_base, matmul_last(w_tri, tri.T)), w_bin], axis=-1)
+    n, tri, wv = b + math.comb(b, 2), triangular_matrix(b, model.tri_combos), ad.value(w)
+    kernel = np.concatenate([wv[..., :b] + matmul_last(wv[..., n:], tri.T), wv[..., b:n]], -1)
+
+    def vjp(g):  # one array [g_base, g_bin, g_base @ T]
+        return np.concatenate([g, matmul_last(g[..., :b], tri)], axis=-1)
+
+    return ad._node(kernel, (w, vjp))
 
 
 def feature_names(base: int, tri_combos=None, enabled: bool = True) -> list:

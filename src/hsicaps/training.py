@@ -3,12 +3,13 @@
 The loss is a per-class hinge on capsule lengths plus a weighted MSE
 between a masked-capsule reconstruction and the one-hot center label.
 Every gradient, in training and in ``gradcheck``, comes from one
-reverse-mode step, ``compute_gradients``; a central finite-difference
-comparator provides the independent check used by ``gradcheck``. The
-triangular cap is fitted on the initial slice heads of the model it
-belongs to.
-Checkpoints store the parameter registry in its spec order; loading is
-exact against that spec or raises.
+reverse-mode step, ``compute_gradients``, as one flat vector in the
+layout of the model's ``theta``; Adam updates ``theta`` in place with
+flat moments, and ``gradcheck`` perturbs single entries of ``theta``
+with a central finite difference. The triangular cap is fitted on the
+initial slice heads of the model it belongs to.
+Checkpoints store ``theta``'s bytes; loading is exact against the spec
+of the stored config or raises.
 """
 
 import json
@@ -96,31 +97,36 @@ def batch_loss(mdl: model_mod.Model, patches, targets, cfg):
 
 
 def compute_gradients(loss_fn, params):
-    """Reverse-mode gradients of ``loss_fn(params)`` for each parameter.
+    """Reverse-mode gradient of ``loss_fn()`` as one flat vector.
 
-    ``params`` is a list of leaf tensors the loss closure reads. Returns
-    (loss value, list of gradient arrays).
+    ``params`` are the leaf tensors the loss closure reads, in the layout
+    of the flat vector they view (a model's ``params.values()`` views its
+    theta). Returns (loss value, gradient in that layout); a leaf the loss
+    does not reach gets zeros.
     """
-    loss = loss_fn(params)
+    loss = loss_fn()
     lv = float(ad.value(loss))
     if not np.isfinite(lv):
         raise NumericError(f"non-finite loss {lv}")
     ad.backward(loss)
-    return lv, [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    params = list(params)
+    grad = np.zeros(sum(p.data.size for p in params))
+    for p, g in zip(params, model_mod.views(grad, [p.data.shape for p in params])):
+        if p.grad is not None:
+            g[...] = p.grad
+    return lv, grad
 
 
-def finite_difference_gradient(loss_fn, params, param_idx, flat_idx, h: float = 1e-5):
-    """Central-difference derivative of the loss w.r.t. one coordinate."""
-    p = params[param_idx]
-    flat = p.data.reshape(-1)
-    orig = flat[flat_idx]
+def finite_difference_gradient(loss_fn, theta, i, h: float = 1e-5):
+    """Central-difference derivative of ``loss_fn()`` w.r.t. ``theta[i]``."""
+    orig = theta[i]
     try:
-        flat[flat_idx] = orig + h
-        hi = float(ad.value(loss_fn(params)))
-        flat[flat_idx] = orig - h
-        lo = float(ad.value(loss_fn(params)))
+        theta[i] = orig + h
+        hi = float(ad.value(loss_fn()))
+        theta[i] = orig - h
+        lo = float(ad.value(loss_fn()))
     finally:
-        flat[flat_idx] = orig
+        theta[i] = orig
     return (hi - lo) / (2.0 * h)
 
 
@@ -129,45 +135,40 @@ def finite_difference_gradient(loss_fn, params, param_idx, flat_idx, h: float = 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray  # flat first moment, in theta's layout
+    v: np.ndarray  # flat second moment
     t: int = 0
 
     @classmethod
-    def for_params(cls, params):
-        return cls([np.zeros_like(ad.value(p)) for p in params],
-                   [np.zeros_like(ad.value(p)) for p in params])
+    def for_theta(cls, theta):
+        return cls(np.zeros_like(theta), np.zeros_like(theta))
 
 
-def adam_step(params, grads, state: AdamState, cfg) -> AdamState:
-    """One bias-corrected Adam update, applied in place to ``params``.
+def adam_step(theta, grad, state: AdamState, cfg) -> AdamState:
+    """One bias-corrected Adam update, applied in place to flat ``theta``.
 
-    ``params`` may be tensors or arrays; shapes must match ``grads``. The
-    moments are updated in place and the step goes through two scratch
-    buffers, in the operation order of m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*g*g and lr * m_hat / (sqrt(v_hat) + eps).
-    Returns the advanced state.
+    ``grad`` has theta's shape. The moments are updated in place and the
+    step goes through two transient scratch vectors, in the operation
+    order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    lr * m_hat / (sqrt(v_hat) + eps). Returns the advanced state.
     """
+    if theta.shape != grad.shape:
+        raise DataError(f"gradient shape {grad.shape} does not match theta {theta.shape}")
     t = state.t + 1
-    b1, b2 = cfg.beta1, cfg.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        arr = p.data if isinstance(p, ad.Tensor) else p
-        if arr.shape != g.shape:
-            raise DataError(f"gradient shape mismatch at parameter {i}")
-        m, v = state.m[i], state.v[i]
-        step, den = np.multiply(g, 1 - b1), np.multiply(g, 1 - b2)
-        m *= b1
-        m += step
-        den *= g
-        v *= b2
-        v += den
-        np.divide(m, 1 - b1**t, out=step)
-        step *= cfg.learning_rate
-        np.divide(v, 1 - b2**t, out=den)
-        np.sqrt(den, out=den)
-        den += cfg.adam_epsilon
-        step /= den
-        arr -= step
+    b1, b2, m, v = cfg.beta1, cfg.beta2, state.m, state.v
+    step, den = np.multiply(grad, 1 - b1), np.multiply(grad, 1 - b2)
+    m *= b1
+    m += step
+    den *= grad
+    v *= b2
+    v += den
+    np.divide(m, 1 - b1**t, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, 1 - b2**t, out=den)
+    np.sqrt(den, out=den)
+    den += cfg.adam_epsilon
+    step /= den
+    theta -= step
     state.t = t
     return state
 
@@ -233,8 +234,7 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
     tcfg = config.training
     cube = data.normalize_cube(cube)
     mdl = build_model(cube, labels, split, config)
-    params = list(mdl.params.values())
-    state = AdamState.for_params(params)
+    state = AdamState.for_theta(mdl.theta)
 
     train_patches = data.extract_patch_batch(cube, split.train_indices, tcfg.patch_size)
     scored = split.train_indices + split.test_indices
@@ -252,12 +252,12 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
         for batch, lo in enumerate(range(0, n_train, tcfg.batch_size), 1):
             sel = order[lo : lo + tcfg.batch_size]
             try:
-                lv, grads = compute_gradients(
-                    lambda _: batch_loss(mdl, train_patches[sel], train_labels[sel], tcfg),
-                    params)
+                lv, grad = compute_gradients(
+                    lambda: batch_loss(mdl, train_patches[sel], train_labels[sel], tcfg),
+                    mdl.params.values())
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, batch {batch}") from exc
-            state = adam_step(params, grads, state, tcfg)
+            state = adam_step(mdl.theta, grad, state, tcfg)
             losses.append(lv)
         hit = _classes_at(mdl, cube, scored) == truth
         train_oa = float(np.mean(hit[:n_train]))
@@ -290,9 +290,8 @@ def predict_map(mdl: model_mod.Model, cube: data.HsiCube, coords=None) -> np.nda
 
 def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
                     wavelengths) -> None:
-    """Single-file checkpoint: one JSON manifest line, then the raw
-    little-endian float64 parameter blob in registry order."""
-    entries = mdl.params.items()
+    """Single-file checkpoint: one JSON manifest line, then theta's bytes
+    as little-endian float64."""
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": config_to_dict(config),
@@ -304,15 +303,14 @@ def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
         "slice_band_indices": [list(ix) for ix in mdl.slices.band_indices],
         "tri_combos": (None if mdl.tri_combos is None
                        else np.asarray(mdl.tri_combos).tolist()),
-        "params": [{"name": n, "shape": list(ad.value(t).shape)} for n, t in entries],
+        "params": [{"name": n, "shape": list(ad.value(t).shape)}
+                   for n, t in mdl.params.items()],
         "dtype": "f64le",
     }
-    blob = b"".join(np.ascontiguousarray(ad.value(t), dtype="<f8").tobytes()
-                    for _, t in entries)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(blob)
+        fh.write(mdl.theta.astype("<f8", copy=False).tobytes())
     os.replace(tmp, path)
 
 
@@ -395,17 +393,12 @@ def load_checkpoint(path: str):
             f"checkpoint parameters differ from the spec of its config at entry {i}: "
             f"{got[i : i + 1]} vs {want[i : i + 1]} ({len(got)} vs {len(want)} entries)"
         )
-    counts = [int(np.prod(shape)) for _, shape in want]
-    if sum(counts) * 8 != len(blob):
+    if sum(math.prod(shape) for _, shape in want) * 8 != len(blob):
         raise DataError("checkpoint blob size mismatch")
-    flat = np.frombuffer(blob, dtype="<f8")
-    params, offset = {}, 0
-    for (name, shape), count in zip(want, counts):
-        params[name] = ad.parameter(flat[offset : offset + count].reshape(shape)
-                                    .astype(np.float64))
-        offset += count
-    model_mod.check_finite(params)
-    return model_mod.Model(params, config, slices, n_class, tri_combos), config, manifest
+    theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    mdl = model_mod.Model.tracked(theta, spec, config, slices, n_class, tri_combos)
+    model_mod.check_finite(mdl)
+    return mdl, config, manifest
 
 
 def check_cube_compatible(manifest: dict, cube: data.HsiCube) -> None:
@@ -455,30 +448,22 @@ def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
     coords = split.train_indices[:4]
     patches = data.extract_patch_batch(cube, coords, config.training.patch_size)
     targets = data.pixels_at(labels.labels, coords)
-    entries = list(mdl.params.items())
-    params = [t for _, t in entries]
 
-    def loss_fn(_):
+    def loss_fn():
         return batch_loss(mdl, patches, targets, config.training)
 
-    _, grads = compute_gradients(loss_fn, params)
+    _, grad = compute_gradients(loss_fn, mdl.params.values())
 
     rng = np.random.default_rng(seed)
-    sizes = np.array([ad.value(p).size for p in params])
-    total = int(sizes.sum())
+    total = mdl.theta.size
     picks = rng.choice(total, size=min(n_samples, total), replace=False)
-    bounds = np.cumsum(sizes)
-    worst = (0.0, "")
-    for pick in picks:
-        pi = int(np.searchsorted(bounds, pick, side="right"))
-        flat = int(pick - (bounds[pi - 1] if pi else 0))
-        fd = finite_difference_gradient(loss_fn, params, pi, flat, h)
-        an = float(grads[pi].reshape(-1)[flat])
-        err = _rel_error(an, fd)
-        if err > worst[0]:
-            worst = (err, f"{entries[pi][0]}[{flat}]")
-    return GradcheckReport(worst[0], len(picks), worst[1], tolerance,
-                           time.perf_counter() - started)
+    worst, at = 0.0, None
+    for i in picks:
+        err = _rel_error(float(grad[i]), finite_difference_gradient(loss_fn, mdl.theta, i, h))
+        if err > worst:
+            worst, at = err, int(i)
+    return GradcheckReport(worst, len(picks), "" if at is None else mdl.name_of(at),
+                           tolerance, time.perf_counter() - started)
 
 
 def _condition_check_point(mdl, seed: int) -> None:

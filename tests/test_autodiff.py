@@ -38,7 +38,7 @@ def test_numpy_fallback_returns_arrays():
         ad.reshape(x, (3, 2)), ad.transpose(x), ad.expand_dims(x, 0),
         ad.concat([x, x], axis=1), ad.unfold(x[..., None], (2,), 1),
         ad.unfold(np.ones((1, 3, 3, 2)), (2, 2), 1), ad.softmax(x, axis=1),
-        ad.norm(x, axis=1), *ad.split(x, (1, 2)),
+        ad.norm(x, axis=1),
     ]
     for out in outs:
         assert isinstance(out, np.ndarray)
@@ -114,33 +114,6 @@ def test_shape_ops(rng):
         return ad.sum(ad.mul(z, z))
 
     fd_check(build, [x])
-
-
-def test_split_gradient_and_inverse_of_concat(rng):
-    x = ad.parameter(rng.normal(size=(2, 3, 7)))
-    w = rng.normal(size=(2, 3, 7))
-
-    def build():
-        a, b, c = ad.split(x, (2, 4, 1))
-        y = ad.concat([ad.mul(c, 3.0), ad.mul(a, a), b], axis=-1)
-        return ad.sum(ad.mul(ad.mul(y, y), w))
-
-    fd_check(build, [x])
-    parts = ad.split(x.data, (2, 4, 1))
-    np.testing.assert_array_equal(np.concatenate(parts, axis=-1), x.data)
-    with pytest.raises(ValueError, match="do not sum"):
-        ad.split(x, (2, 4))
-
-
-def test_split_part_vjp_is_zero_outside_its_slice(rng):
-    x = ad.parameter(rng.normal(size=(3, 6)))
-    for k, (lo, hi) in enumerate(((0, 1), (1, 4), (4, 6))):
-        part = ad.split(x, (1, 3, 2))[k]
-        g = rng.normal(size=(3, hi - lo))
-        ad.backward(ad.sum(ad.mul(part, g)))
-        want = np.zeros((3, 6))
-        want[:, lo:hi] = g
-        np.testing.assert_array_equal(x.grad, want)
 
 
 def selection(n, idx):

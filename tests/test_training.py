@@ -126,30 +126,32 @@ def test_total_loss():
 
 
 def test_gradients_quadratic_bowl():
-    p = ad.parameter(np.array([1.0, -2.0, 3.0]))
-    loss_val, grads = training.compute_gradients(
-        lambda params: ad.sum(ad.mul(params[0], params[0])), [p]
-    )
+    theta = np.array([1.0, -2.0, 3.0, 0.5])
+    p, unused = (ad.Tensor(v, requires_grad=True)
+                 for v in model_mod.views(theta, [(3,), (1,)]))
+    loss_val, grad = training.compute_gradients(lambda: ad.sum(ad.mul(p, p)), [p, unused])
     assert loss_val == pytest.approx(14.0)
-    np.testing.assert_allclose(grads[0], 2 * p.data)
+    # flat, in theta's layout; the leaf the loss never reads gets zeros
+    np.testing.assert_allclose(grad, [2.0, -4.0, 6.0, 0.0])
 
 
 def test_gradients_zero_plateau():
     lengths = ad.parameter(np.array([0.95, 0.05]))
     cfg = MarginLossConfig()
 
-    def loss_fn(params):
-        return ad.sum(training.margin_loss(params[0], np.array([1.0, 0.0]), cfg))
+    def loss_fn():
+        return ad.sum(training.margin_loss(lengths, np.array([1.0, 0.0]), cfg))
 
-    loss_val, grads = training.compute_gradients(loss_fn, [lengths])
+    loss_val, grad = training.compute_gradients(loss_fn, [lengths])
     assert loss_val == 0.0
-    np.testing.assert_array_equal(grads[0], 0.0)
+    assert grad.shape == (2,)
+    np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_gradients_nonfinite_loss_raises():
     p = ad.parameter(np.array([0.0]))
     with np.errstate(divide="ignore"), pytest.raises(NumericError):
-        training.compute_gradients(lambda params: ad.sum(ad.div(1.0, params[0])), [p])
+        training.compute_gradients(lambda: ad.sum(ad.div(1.0, p)), [p])
 
 
 def test_full_model_gradcheck_passes():
@@ -164,8 +166,8 @@ def corrupt_gradients(monkeypatch):
     real = training.compute_gradients
 
     def corrupted(loss_fn, params):
-        lv, grads = real(loss_fn, params)
-        return lv, [g * 1.5 + 0.05 for g in grads]
+        lv, grad = real(loss_fn, params)
+        return lv, grad * 1.5 + 0.05
 
     monkeypatch.setattr(training, "compute_gradients", corrupted)
 
@@ -187,66 +189,60 @@ class AdamCfg:
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = [np.array([1.0, 2.0])]
-    state = training.AdamState.for_params(p)
-    training.adam_step(p, [np.zeros(2)], state, AdamCfg)
-    np.testing.assert_array_equal(p[0], [1.0, 2.0])
+    theta = np.array([1.0, 2.0])
+    state = training.AdamState.for_theta(theta)
+    training.adam_step(theta, np.zeros(2), state, AdamCfg)
+    np.testing.assert_array_equal(theta, [1.0, 2.0])
     assert state.t == 1
 
 
 def test_adam_first_step_hand_value():
     g = np.array([0.3, -0.7])
-    p = [np.zeros(2)]
-    state = training.AdamState.for_params(p)
-    training.adam_step(p, [g.copy()], state, AdamCfg)
+    theta = np.zeros(2)
+    state = training.AdamState.for_theta(theta)
+    training.adam_step(theta, g.copy(), state, AdamCfg)
     # bias correction makes m_hat = g, v_hat = g^2 on step 1
     expected = -AdamCfg.learning_rate * g / (np.abs(g) + AdamCfg.adam_epsilon)
-    np.testing.assert_allclose(p[0], expected, rtol=1e-9)
+    np.testing.assert_allclose(theta, expected, rtol=1e-9)
 
 
 def test_adam_deterministic():
     def run():
-        p = [np.array([0.5]), np.array([[1.0, 2.0]])]
-        state = training.AdamState.for_params(p)
+        theta = np.array([0.5, 1.0, 2.0])
+        state = training.AdamState.for_theta(theta)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            grads = [rng.normal(size=a.shape) for a in p]
-            training.adam_step(p, grads, state, AdamCfg)
-        return [a.copy() for a in p]
+            training.adam_step(theta, rng.normal(size=theta.shape), state, AdamCfg)
+        return theta
 
-    a, b = run(), run()
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(run(), run())
 
 
 def test_adam_in_place_equals_reference_update_bit_for_bit():
     rng = np.random.default_rng(3)
-    p = [rng.normal(size=(4, 5)), rng.normal(size=3)]
-    ref_p = [a.copy() for a in p]
-    ref_m = [np.zeros_like(a) for a in p]
-    ref_v = [np.zeros_like(a) for a in p]
-    state = training.AdamState.for_params(p)
+    theta = rng.normal(size=23)
+    ref_p, ref_m, ref_v = theta.copy(), np.zeros(23), np.zeros(23)
+    state = training.AdamState.for_theta(theta)
     c = AdamCfg
     for t in range(1, 6):
-        grads = [rng.normal(size=a.shape) for a in p]
-        kept = [g.copy() for g in grads]
-        training.adam_step(p, grads, state, c)
-        for i, g in enumerate(kept):
-            ref_m[i] = c.beta1 * ref_m[i] + (1 - c.beta1) * g
-            ref_v[i] = c.beta2 * ref_v[i] + (1 - c.beta2) * g * g
-            m_hat = ref_m[i] / (1 - c.beta1**t)
-            v_hat = ref_v[i] / (1 - c.beta2**t)
-            ref_p[i] -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_epsilon)
-            np.testing.assert_array_equal(grads[i], g)  # gradients are not consumed
-        for got, want in zip(p + state.m + state.v, ref_p + ref_m + ref_v):
+        grad = rng.normal(size=theta.shape)
+        kept = grad.copy()
+        training.adam_step(theta, grad, state, c)
+        ref_m = c.beta1 * ref_m + (1 - c.beta1) * kept
+        ref_v = c.beta2 * ref_v + (1 - c.beta2) * kept * kept
+        m_hat = ref_m / (1 - c.beta1**t)
+        v_hat = ref_v / (1 - c.beta2**t)
+        ref_p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_epsilon)
+        np.testing.assert_array_equal(grad, kept)  # the gradient is not consumed
+        for got, want in ((theta, ref_p), (state.m, ref_m), (state.v, ref_v)):
             np.testing.assert_array_equal(got, want)
 
 
 def test_adam_shape_mismatch():
-    p = [np.zeros(2)]
-    state = training.AdamState.for_params(p)
+    theta = np.zeros(2)
+    state = training.AdamState.for_theta(theta)
     with pytest.raises(DataError):
-        training.adam_step(p, [np.zeros(3)], state, AdamCfg)
+        training.adam_step(theta, np.zeros(3), state, AdamCfg)
 
 
 # training loop -------------------------------------------------------------
@@ -522,6 +518,71 @@ def test_non_finite_parameter_stops_prediction(tiny_dataset):
     mdl.params["caps.primary.w"].data[0, 0, 0, 0] = np.nan
     with pytest.raises(NumericError, match="caps.primary.w"):
         model_mod.predict_lengths(mdl, patches)
+
+
+@pytest.mark.parametrize("blob_edit", [
+    lambda blob: blob[:-8],         # one value short
+    lambda blob: blob + bytes(8),   # one trailing value
+    lambda blob: blob + b"\x00",    # one stray byte: not a whole float64
+], ids=["short", "trailing-value", "stray-byte"])
+def test_checkpoint_blob_size_mismatch_fails_loudly(tmp_path, saved_checkpoint, blob_edit):
+    header, blob = saved_checkpoint.split(b"\n", 1)
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(header + b"\n" + blob_edit(blob))
+    with pytest.raises(DataError, match="blob size mismatch"):
+        training.load_checkpoint(str(path))
+
+
+# the flat registry ----------------------------------------------------------
+
+
+def test_init_params_equals_per_block_glorot_reference(tiny_dataset):
+    cube, _, _ = tiny_dataset
+    slices = data.segment_bands(cube, data.default_band_slices())
+    spec = model_mod.param_spec(slices, 3, small_run_config())
+    theta = model_mod.init_params(spec, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    blocks = [np.zeros(shape) if fan_in is None
+              else ad.glorot_uniform(rng, shape, fan_in, fan_out)
+              for _, shape, fan_in, fan_out in spec]
+    assert theta.dtype == np.float64 and theta.ndim == 1
+    assert theta.tobytes() == np.concatenate([b.reshape(-1) for b in blocks]).tobytes()
+
+
+def test_params_are_views_of_theta(tmp_path, tiny_dataset):
+    cube, labels, split = tiny_dataset
+    cfg = small_run_config()
+    mdl = training.build_model(data.normalize_cube(cube), labels, split, cfg)
+    path = str(tmp_path / "model.ckpt")
+    training.save_checkpoint(path, mdl, cfg, cube.wavelengths)
+    loaded = training.load_checkpoint(path)[0]
+    for m in (mdl, mdl.detached(), loaded):
+        vals = [ad.value(t) for t in m.params.values()]
+        assert all(np.shares_memory(v, m.theta) for v in vals)
+        # the views tile theta in spec order, with no gap and no overlap
+        np.testing.assert_array_equal(np.concatenate([v.reshape(-1) for v in vals]), m.theta)
+    assert all(isinstance(t, ad.Tensor) and t.requires_grad
+               for m in (mdl, loaded) for t in m.params.values())
+    np.testing.assert_array_equal(loaded.theta, mdl.theta)
+
+    offset = 0
+    for name, t in mdl.params.items():
+        assert mdl.name_of(offset) == f"{name}[0]"
+        offset += t.data.size
+        assert mdl.name_of(offset - 1) == f"{name}[{t.data.size - 1}]"
+    assert offset == mdl.theta.size
+
+    with open(path, "rb") as fh:
+        fh.readline()
+        assert fh.read() == mdl.theta.astype("<f8").tobytes()
+
+    before = {name: t.data.copy() for name, t in mdl.params.items()}
+    grad = np.random.default_rng(2).normal(size=mdl.theta.shape)
+    training.adam_step(mdl.theta, grad, training.AdamState.for_theta(mdl.theta), cfg.training)
+    detached = mdl.detached()
+    for name, t in mdl.params.items():
+        assert not np.array_equal(t.data, before[name]), name
+        assert not np.array_equal(detached.params[name], before[name]), name
 
 
 def test_checkpoint_round_trip_ablation_variants(tmp_path, tiny_dataset):
