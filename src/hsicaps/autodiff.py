@@ -15,6 +15,10 @@ Otherwise it returns a Tensor that keeps the tracked pairs, and
 ``backward`` walks them in reverse topological order, adding each VJP
 into its input's ``.grad``. An input passed twice receives both VJPs.
 
+Every linear map runs through one contraction, ``matmul``, which folds
+the leading axes of its left operand into one 2-D product; ``conv`` is
+that product over ``unfold``'s windows, for any number of spatial axes.
+
 Hinge-style kinks (relu, clip) use the zero-side subgradient.
 """
 
@@ -23,6 +27,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import DataError
 
 # Guard added under square roots of sums of squares; small enough to be
 # absorbed by float64 rounding for any norm above ~1e-18.
@@ -45,11 +51,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def parameter(data):
-    """Create a leaf tensor that accumulates gradients."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -132,10 +133,18 @@ def div(a, b):
 
 
 def matmul(a, b):
+    """``a @ b`` over the last axis of any (..., K) ``a``, for (K, n) ``b``.
+
+    The leading axes of ``a`` fold into the rows of one 2-D product.
+    """
     av, bv = _val(a), _val(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ValueError("matmul supports 2-D operands only")
-    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
+    if bv.ndim != 2:
+        raise ValueError("matmul needs a 2-D right operand")
+    a2 = av.reshape(-1, av.shape[-1])
+    n = bv.shape[1]
+    return _node((a2 @ bv).reshape(av.shape[:-1] + (n,)),
+                 (a, lambda g: (g.reshape(-1, n) @ bv.T).reshape(av.shape)),
+                 (b, lambda g: a2.T @ g.reshape(-1, n)))
 
 
 # elementwise ----------------------------------------------------------
@@ -256,6 +265,23 @@ def unfold(x, size, stride):
         return gx
 
     return _node(windows.reshape(out_shape), (x, vjp))
+
+
+def conv(x, weights, stride):
+    """Valid cross-correlation of a channels-last batch.
+
+    (N, *dims, C) input and (J, *size, C) weights give (N, *outs, J): one
+    ``matmul`` of ``unfold``'s windows with the weights as a (prod(size) * C, J)
+    matrix. One spatial axis is a 1-D conv, two a 2-D conv.
+    """
+    _, *dims, C = shape_of(x)
+    J, *size, Cw = shape_of(weights)
+    if Cw != C:
+        raise DataError(f"conv channel mismatch: input {C}, weights {Cw}")
+    if any(d < k for d, k in zip(dims, size)):
+        raise DataError(f"spatial extent {'x'.join(map(str, dims))} smaller than kernel "
+                        f"{'x'.join(map(str, size))}")
+    return matmul(unfold(x, tuple(size), stride), transpose(reshape(weights, (J, -1))))
 
 
 # softmax and norms ----------------------------------------------------

@@ -1,14 +1,15 @@
 """Spatial convolution, capsule encoding and dynamic routing.
 
-A batch of enhanced feature maps passes through a relu 2-D convolution,
-a bank of linear convolutional capsules whose channel groups form pose
-vectors (squashed so lengths live in [0, 1)), and a class-capsule layer
-whose coupling coefficients are refined by agreement routing. Every
-routine is batched over a leading sample axis and takes its weights as
-arguments (plain arrays or autodiff tensors); the model passes them in
-from its parameter registry. Everything after the relu convolution is
-one capsule block (``model._capsules``), which the per-patch forward and
-the whole-scene path both call.
+A batch of enhanced feature maps passes through the stage-2 relu
+convolution (``conv2d_batch``), a bank of linear convolutional capsules
+(``ad.conv``) whose channel groups form pose vectors (squashed so
+lengths live in [0, 1)), and a class-capsule layer whose coupling
+coefficients are refined by agreement routing. Every routine is batched
+over a leading sample axis and takes its weights as arguments (plain
+arrays or autodiff tensors); the model passes them in from its parameter
+registry. Everything after the relu convolution is one capsule block
+(``model._capsules``), which the per-patch forward and the whole-scene
+path both call.
 """
 
 import numpy as np
@@ -17,23 +18,10 @@ from . import autodiff as ad
 from .errors import DataError
 
 
-def conv2d_batch(x, weights, bias, stride, activation):
-    """Batched valid cross-correlation: (N, H, W, C) -> (N, H1, W1, J)."""
-    N, H, W, C = ad.shape_of(x)
-    wv = ad.value(weights)
-    J, k, _, Cw = wv.shape
-    if Cw != C:
-        raise DataError(f"conv2d channel mismatch: input {C}, weights {Cw}")
-    if H < k or W < k:
-        raise DataError(f"spatial extent {H}x{W} smaller than kernel {k}")
-    cols = ad.unfold(x, (k, k), stride)  # (N, H1, W1, k*k*C)
-    _, H1, W1, _ = ad.shape_of(cols)
-    wmat = ad.transpose(ad.reshape(weights, (J, k * k * C)))
-    flat = ad.matmul(ad.reshape(cols, (-1, k * k * C)), wmat)
-    out = ad.reshape(ad.add(flat, bias) if bias is not None else flat, (N, H1, W1, J))
-    if activation == "relu":
-        out = ad.relu(out)
-    return out
+def conv2d_batch(x, weights, bias, stride):
+    """The stage-2 relu conv: (N, H, W, C) -> (N, H1, W1, J) for weights
+    (J, k, k, C) and bias (J,)."""
+    return ad.relu(ad.add(ad.conv(x, weights, stride), bias))
 
 
 def squash(u, axis=-1):
@@ -53,7 +41,7 @@ def primary_capsules_batch(x, kernels, count: int, stride: int = 1):
     neurons each run over the map. Pose m enumerates (capsule, row, col)
     in C order and every pose is squashed independently.
     """
-    raw = conv2d_batch(x, kernels, None, stride, "identity")
+    raw = ad.conv(x, kernels, stride)
     N, H2, W2, zk = ad.shape_of(raw)
     dim = zk // count
     poses = ad.reshape(raw, (N, H2, W2, count, dim))

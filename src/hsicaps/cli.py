@@ -85,6 +85,7 @@ def _cmd_train(args) -> int:
         cfg.training.seed = args.seed_override
     if args.out:
         cfg.output_dir = args.out
+    cfg.validate()
     if not cfg.cube or not cfg.labels:
         raise ConfigError("config must set 'cube' and 'labels' paths")
     if not cfg.output_dir:

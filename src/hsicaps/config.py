@@ -56,6 +56,10 @@ class CapsuleConfig:
     routing_iterations: int = 3
 
     def validate(self):
+        for name in ("conv_filters", "conv_kernel", "conv_stride", "capsule_kernel",
+                     "capsule_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"stage2.{name} must be >= 1")
         if self.conv_kernel % 2 == 0 or self.capsule_kernel % 2 == 0:
             raise ConfigError("stage2 kernels must be odd")
         if self.capsules < 2 or self.capsule_dim < 2:
@@ -107,6 +111,10 @@ class TrainConfig:
             raise ConfigError("training.reconstruction_weight must be >= 0")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ConfigError("adam betas must be in (0, 1)")
+        if self.adam_epsilon <= 0:
+            raise ConfigError("training.adam_epsilon must be positive")
+        if self.seed < 0:
+            raise ConfigError("training.seed must be >= 0")
         if self.patch_size % 2 == 0 or self.patch_size < 1:
             raise ConfigError("training.patch_size must be a positive odd integer")
         if self.decoder_hidden < 1:

@@ -3,7 +3,7 @@ measures.
 
 Includes the pooled/averaged accuracies, kappa, one-vs-rest sensitivity
 and specificity, the continuity-corrected McNemar chi-squared with its
-star bands, per-class Shannon entropy over feature activations, the Dunn
+star bands, per-class Shannon entropy over feature values, the Dunn
 cluster-validity index, nine built-in two/three-band reflectance
 indices, the squared Pearson correlation of one reference with every
 feature column at once (post-hoc feature attribution), and the report
@@ -135,10 +135,10 @@ def mcnemar_from_counts(f12: int, f21: int):
 
 
 def shannon_entropy(class_features, base: str = "e") -> float:
-    """Entropy of the normalized mean absolute activation per feature.
+    """Entropy of the normalized mean absolute value per feature.
 
     ``class_features`` is (samples, M) for one class. All-zero
-    activations fall back to the uniform distribution. ``base`` is
+    features fall back to the uniform distribution. ``base`` is
     "e" (natural log) or "2".
     """
     feats = np.atleast_2d(np.asarray(class_features, dtype=np.float64))
@@ -224,13 +224,6 @@ def _builtin_indices():
 
 
 BUILTIN_INDICES = _builtin_indices()
-
-
-def index_by_name(name: str) -> VegetationIndexDef:
-    for idx in BUILTIN_INDICES:
-        if idx.name.lower() == name.lower():
-            return idx
-    raise DataError(f"unknown vegetation index {name!r}")
 
 
 def vegetation_index(spectrum, wavelengths, index: VegetationIndexDef,

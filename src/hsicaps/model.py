@@ -199,7 +199,7 @@ def forward(model: Model, patches: np.ndarray):
     feats = spectral.pixel_features(patches.reshape(N * s1 * s2, B), model)
     fmap = ad.reshape(feats, (N, s1, s2, ad.shape_of(feats)[-1]))
     o = capsule.conv2d_batch(fmap, spectral.conv_kernel(model), p["caps.conv.b"],
-                             cfg.stage2.conv_stride, "relu")
+                             cfg.stage2.conv_stride)
     return _capsules(model, o)
 
 
@@ -244,8 +244,7 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
         rows = padded[r0 : r0 + tile_rows + size - 1]
         R, W, B = rows.shape
         feats = spectral.pixel_features(rows.reshape(R * W, B), mdl)
-        o = capsule.conv2d_batch(feats.reshape(1, R, W, -1), kernel, p["caps.conv.b"], 1,
-                                 "relu")[0]
+        o = capsule.conv2d_batch(feats.reshape(1, R, W, -1), kernel, p["caps.conv.b"], 1)[0]
         windows = sliding_window_view(o, (width, width), axis=(0, 1))[..., ::stride, ::stride]
         o_centres = windows[rc[ids, 0] - r0, rc[ids, 1]].transpose(0, 2, 3, 1)
         for lo in range(0, len(ids), TAIL_BATCH):

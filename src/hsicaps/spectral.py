@@ -1,19 +1,20 @@
 """Per-slice spectral feature extraction and index-based enhancement.
 
-Each non-empty band slice feeds a small stack (two 1-D convolutions or a
-dense fallback for narrow slices, then two fully connected layers) that
-emits ``n_class`` values per pixel. The concatenated base features are
-expanded with two fixed algebraic transforms patterned on two- and
-three-band reflectance indices:
+Each non-empty band slice feeds a small stack (two 1-D convolutions,
+``ad.conv``, or a dense fallback for narrow slices, then two fully
+connected layers) that emits ``n_class`` values per pixel. The
+concatenated base features are expanded with two fixed algebraic
+transforms patterned on two- and three-band reflectance indices:
 
 * binary index: normalized difference of every unordered feature pair,
 * triangular index: signed triangle area spanned by every feature triple
   over the (position, value) plane.
 
 The binary index is ``(x1 @ D) / (x1 @ S)`` and the triangular index
-``x1 @ T``, for fixed matrices. T vanishes exactly on affine (collinear)
-sequences, so it has rank b - 2 for b base features: all C(b,3) triangle
-features, and any capped subset, span at most b - 2 directions (19 at b = 21).
+``x1 @ T``, for fixed matrices, each one ``ad.matmul`` over the last
+axis. T vanishes exactly on affine (collinear) sequences, so it has rank
+b - 2 for b base features: all C(b,3) triangle features, and any capped
+subset, span at most b - 2 directions (19 at b = 21).
 
 The head of the i-th non-empty slice reads its weights from the model's
 parameter registry under ``spectral.<i>.*``. ``pixel_features`` is the one
@@ -81,29 +82,9 @@ def feature_count(m: int, n_class: int, cap: int = None) -> int:
 # forward routines -----------------------------------------------------
 
 
-def matmul_last(x, w):
-    """``x @ w`` over the last axis of any (..., F) input; w is (F, out)."""
-    shape = ad.shape_of(x)
-    y = ad.matmul(ad.reshape(x, (-1, shape[-1])), w)
-    return ad.reshape(y, tuple(shape[:-1]) + (ad.shape_of(w)[1],))
-
-
-def conv1d_batch(x, weights, bias, stride):
-    """Batched multichannel valid conv: (P, L, C) -> (P, L1, filters)."""
-    _, L, C = ad.shape_of(x)
-    J, Cw, rm = ad.value(weights).shape
-    if Cw != C:
-        raise DataError(f"conv1d channel mismatch: input {C}, weights {Cw}")
-    if L < rm:
-        raise DataError(f"signal length {L} shorter than receptive field {rm}")
-    cols = ad.unfold(x, (rm,), stride)  # (P, L1, rm*C)
-    wmat = ad.reshape(ad.transpose(weights, (2, 1, 0)), (rm * C, J))
-    return ad.add(matmul_last(cols, wmat), bias)
-
-
 def dense_forward(x, weights, biases, relu=True):
     """Affine layer over the last axis: weights (out, in), biases (out,)."""
-    y = ad.add(matmul_last(x, ad.transpose(weights)), biases)
+    y = ad.add(ad.matmul(x, ad.transpose(weights)), biases)
     return ad.relu(y) if relu else y
 
 
@@ -111,7 +92,8 @@ def _slice_features(pixels, p, prefix, stride):
     """Per-slice feature head: (P, L_slice) -> (P, n_class).
 
     Two relu 1-D convolutions, or the dense fallback when the registry
-    holds ``<prefix>.dense``, then fc1 (relu) and fc2 (identity).
+    holds ``<prefix>.dense``, then fc1 (relu) and fc2 (identity). The conv
+    weights are registered (filters, channels, width) and run channels-last.
     """
     P, L = ad.shape_of(pixels)
     if f"{prefix}.dense.w" in p:
@@ -119,8 +101,8 @@ def _slice_features(pixels, p, prefix, stride):
     else:
         h = ad.reshape(pixels, (P, L, 1))
         for conv in ("conv1", "conv2"):
-            h = ad.relu(conv1d_batch(h, p[f"{prefix}.{conv}.w"], p[f"{prefix}.{conv}.b"],
-                                      stride))
+            w = ad.transpose(p[f"{prefix}.{conv}.w"], (0, 2, 1))
+            h = ad.relu(ad.add(ad.conv(h, w, stride), p[f"{prefix}.{conv}.b"]))
         sh = ad.shape_of(h)
         h = ad.reshape(h, (P, sh[1] * sh[2]))
     h = dense_forward(h, p[f"{prefix}.fc1.w"], p[f"{prefix}.fc1.b"])
@@ -152,8 +134,8 @@ def binary_index(x1, epsilon: float = 1e-8):
     if F < 2:
         raise DataError("binary index needs at least 2 features")
     diff, total = pair_matrices(F)
-    den = ad.signed_guard(matmul_last(x1, total), epsilon)
-    return ad.clip(ad.div(matmul_last(x1, diff), den), -1.0, 1.0)
+    den = ad.signed_guard(ad.matmul(x1, total), epsilon)
+    return ad.clip(ad.div(ad.matmul(x1, diff), den), -1.0, 1.0)
 
 
 def triangular_matrix(F: int, combos=None) -> np.ndarray:
@@ -180,7 +162,7 @@ def triangular_matrix(F: int, combos=None) -> np.ndarray:
 def triangular_index(x1, combos=None):
     """Signed triangle area for feature triples over (position, value):
     ``x1 @ triangular_matrix(F, combos)`` over the last axis."""
-    return matmul_last(x1, triangular_matrix(ad.shape_of(x1)[-1], combos))
+    return ad.matmul(x1, triangular_matrix(ad.shape_of(x1)[-1], combos))
 
 
 def fit_triangular_cap(x1_train: np.ndarray, cap: int) -> np.ndarray:
@@ -244,10 +226,10 @@ def conv_kernel(model):
         return w
     b = len(model.slices.non_empty()) * model.n_class
     n, tri, wv = b + math.comb(b, 2), triangular_matrix(b, model.tri_combos), ad.value(w)
-    kernel = np.concatenate([wv[..., :b] + matmul_last(wv[..., n:], tri.T), wv[..., b:n]], -1)
+    kernel = np.concatenate([wv[..., :b] + ad.matmul(wv[..., n:], tri.T), wv[..., b:n]], -1)
 
     def vjp(g):  # one array [g_base, g_bin, g_base @ T]
-        return np.concatenate([g, matmul_last(g[..., :b], tri)], axis=-1)
+        return np.concatenate([g, ad.matmul(g[..., :b], tri)], axis=-1)
 
     return ad._node(kernel, (w, vjp))
 

@@ -40,25 +40,6 @@ def make_separable_cube(height: int = 12, width: int = 12, bands: int = 20,
     return cube, data.labelmap_from_array(labels)
 
 
-def nearest_centroid_accuracy(cube: data.HsiCube, labels: data.LabelMap,
-                              train_coords) -> float:
-    """Fraction of labeled pixels matching their nearest train centroid."""
-    spectra = cube.data.reshape(-1, cube.bands).astype(np.float64)
-    labs = labels.labels.reshape(-1)
-    train_set = {tuple(rc) for rc in train_coords}
-    train_mask = np.array(
-        [(r, c) in train_set for r in range(cube.height) for c in range(cube.width)]
-    )
-    classes = sorted(int(k) for k in np.unique(labs) if k > 0)
-    centroids = np.stack([
-        spectra[train_mask & (labs == k)].mean(axis=0) for k in classes
-    ])
-    eval_mask = labs > 0
-    dists = np.linalg.norm(spectra[eval_mask, None, :] - centroids[None, :, :], axis=-1)
-    pred = np.array(classes)[np.argmin(dists, axis=1)]
-    return float(np.mean(pred == labs[eval_mask]))
-
-
 def write_dataset(directory: str, cube: data.HsiCube, labels: data.LabelMap):
     """Write cube + labels under ``directory``; returns (header, labels) paths."""
     os.makedirs(directory, exist_ok=True)

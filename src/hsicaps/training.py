@@ -471,7 +471,7 @@ def _condition_check_point(mdl, seed: int) -> None:
     at a smooth point.
 
     At the canonical init (zero biases, min-max zeros in the cube) relu
-    pre-activations sit exactly on hinge kinks, and near-zero slice
+    inputs sit exactly on hinge kinks, and near-zero slice
     features put binary-index denominators next to their guarded pole,
     where a secant at h=1e-5 cannot follow the curvature. Positive fc2
     biases keep every pair denominator near 1.

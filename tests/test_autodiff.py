@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from hsicaps import autodiff as ad
+from hsicaps.errors import DataError
+
+
+def parameter(data):
+    """A leaf tensor over a float64 copy of ``data`` that accumulates gradients."""
+    return ad.Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def fd_check(build, params, h=1e-6, tol=1e-6):
@@ -38,16 +44,17 @@ def test_numpy_fallback_returns_arrays():
         ad.reshape(x, (3, 2)), ad.transpose(x), ad.expand_dims(x, 0),
         ad.concat([x, x], axis=1), ad.unfold(x[..., None], (2,), 1),
         ad.unfold(np.ones((1, 3, 3, 2)), (2, 2), 1), ad.softmax(x, axis=1),
-        ad.norm(x, axis=1),
+        ad.norm(x, axis=1), ad.matmul(np.ones((2, 2, 3)), x.T),
+        ad.conv(np.ones((1, 3, 3, 2)), np.ones((4, 2, 2, 2)), 1),
     ]
     for out in outs:
         assert isinstance(out, np.ndarray)
 
 
 def test_add_mul_div_broadcasting(rng):
-    a = ad.parameter(rng.normal(size=(3, 4)))
-    b = ad.parameter(rng.normal(size=(4,)))
-    c = ad.parameter(rng.normal(size=(3, 1)) + 3.0)
+    a = parameter(rng.normal(size=(3, 4)))
+    b = parameter(rng.normal(size=(4,)))
+    c = parameter(rng.normal(size=(3, 1)) + 3.0)
 
     def build():
         y = ad.div(ad.mul(ad.add(a, b), ad.sub(a, 0.3)), c)
@@ -57,7 +64,7 @@ def test_add_mul_div_broadcasting(rng):
 
 
 def test_matmul_and_reductions(rng):
-    w = ad.parameter(rng.normal(size=(4, 3)))
+    w = parameter(rng.normal(size=(4, 3)))
     x = rng.normal(size=(5, 4))
 
     def build():
@@ -68,8 +75,34 @@ def test_matmul_and_reductions(rng):
     fd_check(build, [w])
 
 
+def test_matmul_folds_leading_axes(rng):
+    x = parameter(rng.normal(size=(2, 3, 4)))
+    w = parameter(rng.normal(size=(4, 5)))
+    want = (x.data.reshape(-1, 4) @ w.data).reshape(2, 3, 5)
+    assert np.array_equal(ad.value(ad.matmul(x, w)), want)
+
+    def build():
+        y = ad.matmul(x, w)
+        return ad.sum(ad.mul(y, y))
+
+    fd_check(build, [x, w])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 5)])
+def test_matmul_needs_2d_right_operand(rng, shape):
+    with pytest.raises(ValueError, match="2-D right operand"):
+        ad.matmul(rng.normal(size=(3, 4)), rng.normal(size=shape))
+
+
+def test_conv_channel_mismatch_error():
+    with pytest.raises(DataError, match="channel mismatch"):
+        ad.conv(np.ones((1, 5, 2)), np.ones((3, 2, 3)), 1)
+    with pytest.raises(DataError, match="channel mismatch"):
+        ad.conv(np.ones((1, 4, 4, 2)), np.ones((3, 2, 2, 1)), 1)
+
+
 def test_elementwise_ops(rng):
-    x = ad.parameter(rng.uniform(0.5, 2.0, size=(6,)))
+    x = parameter(rng.uniform(0.5, 2.0, size=(6,)))
 
     def build():
         y = ad.add(ad.div(1.0, ad.add(x, 0.3)), ad.signed_guard(x, 0.2))
@@ -80,7 +113,7 @@ def test_elementwise_ops(rng):
 
 
 def test_relu_and_clip_away_from_kinks(rng):
-    x = ad.parameter(rng.normal(size=(20,)) * 2.0)
+    x = parameter(rng.normal(size=(20,)) * 2.0)
 
     def build():
         y = ad.relu(x)
@@ -91,14 +124,14 @@ def test_relu_and_clip_away_from_kinks(rng):
 
 
 def test_clip_blocks_gradient_outside_range():
-    x = ad.parameter(np.array([-3.0, 0.0, 3.0]))
+    x = parameter(np.array([-3.0, 0.0, 3.0]))
     loss = ad.sum(ad.clip(x, -1.0, 1.0))
     ad.backward(loss)
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_signed_guard_values_and_gradient():
-    x = ad.parameter(np.array([-2.0, 0.0, 2.0]))
+    x = parameter(np.array([-2.0, 0.0, 2.0]))
     out = ad.signed_guard(x, 0.5)
     np.testing.assert_allclose(ad.value(out), [-2.5, 0.5, 2.5])
     ad.backward(ad.sum(out))
@@ -106,7 +139,7 @@ def test_signed_guard_values_and_gradient():
 
 
 def test_shape_ops(rng):
-    x = ad.parameter(rng.normal(size=(2, 3, 4)))
+    x = parameter(rng.normal(size=(2, 3, 4)))
 
     def build():
         y = ad.transpose(ad.reshape(x, (6, 4)), (1, 0))
@@ -124,7 +157,7 @@ def selection(n, idx):
 
 
 def test_selection_matmul_and_softmax(rng):
-    x = ad.parameter(rng.normal(size=(3, 5)))
+    x = parameter(rng.normal(size=(3, 5)))
     sel = selection(5, [0, 2, 2, 4])  # repeats column 2
 
     def build():
@@ -136,7 +169,7 @@ def test_selection_matmul_and_softmax(rng):
 
 
 def test_repeated_selection_accumulates():
-    x = ad.parameter(np.arange(4.0).reshape(1, 4))
+    x = parameter(np.arange(4.0).reshape(1, 4))
     loss = ad.sum(ad.matmul(x, selection(4, [1, 1, 1])))
     ad.backward(loss)
     np.testing.assert_array_equal(x.grad, [[0.0, 3.0, 0.0, 0.0]])
@@ -172,7 +205,7 @@ def test_unfold1d_matches_manual_windows(rng):
 
 
 def test_unfold1d_stride_gradient(rng):
-    x = ad.parameter(rng.normal(size=(2, 8, 3)))
+    x = parameter(rng.normal(size=(2, 8, 3)))
 
     def build():
         u = ad.unfold(x, (3,), 2)
@@ -182,7 +215,7 @@ def test_unfold1d_stride_gradient(rng):
 
 
 def test_unfold2d_stride_and_gradient(rng):
-    x = ad.parameter(rng.normal(size=(2, 5, 5, 2)))
+    x = parameter(rng.normal(size=(2, 5, 5, 2)))
 
     def build():
         u = ad.unfold(x, (3, 3), 2)
@@ -192,14 +225,14 @@ def test_unfold2d_stride_and_gradient(rng):
 
 
 def test_norm_guarded_at_zero():
-    x = ad.parameter(np.zeros(3))
+    x = parameter(np.zeros(3))
     n = ad.norm(x)
     ad.backward(ad.sum(ad.mul(n, n)))
     assert np.all(np.isfinite(x.grad))
 
 
 def test_reused_node_accumulates(rng):
-    x = ad.parameter(np.array([2.0]))
+    x = parameter(np.array([2.0]))
     y = ad.mul(x, 3.0)
     loss = ad.sum(ad.add(ad.mul(y, y), y))  # 9x^2 + 3x
     ad.backward(loss)
@@ -207,13 +240,13 @@ def test_reused_node_accumulates(rng):
 
 
 def test_same_input_twice_accumulates_both_vjps():
-    x = ad.parameter(np.array([1.5, -2.0, 3.0]))
+    x = parameter(np.array([1.5, -2.0, 3.0]))
     ad.backward(ad.sum(ad.mul(x, x)))
     np.testing.assert_array_equal(x.grad, 2 * x.data)
 
 
 def test_backward_twice_resets_grads():
-    x = ad.parameter(np.array([1.0, 2.0]))
+    x = parameter(np.array([1.0, 2.0]))
     loss = ad.sum(ad.mul(x, x))
     ad.backward(loss)
     first = x.grad.copy()
@@ -223,7 +256,7 @@ def test_backward_twice_resets_grads():
 
 
 def test_backward_requires_scalar():
-    x = ad.parameter(np.ones(3))
+    x = parameter(np.ones(3))
     with pytest.raises(ValueError):
         ad.backward(ad.mul(x, 2.0))
 

@@ -8,11 +8,11 @@ from hsicaps import capsule
 from hsicaps.errors import DataError
 
 
-def conv2d(fmap, weights, bias=None, stride=1, activation="relu"):
-    """Batched conv2d on a single (H, W, C) map, i.e. an N = 1 batch."""
+def conv2d(fmap, weights, bias=None, stride=1):
+    """Batched relu conv2d on a single (H, W, C) map, i.e. an N = 1 batch."""
     w = np.asarray(weights, dtype=np.float64)
     b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
-    return capsule.conv2d_batch(fmap[None], w, b, stride, activation)[0]
+    return capsule.conv2d_batch(fmap[None], w, b, stride)[0]
 
 
 def brute_conv2d(fmap, weights, bias, stride):

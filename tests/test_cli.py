@@ -110,6 +110,34 @@ def test_wrongly_typed_config_value_rejected(workspace, tmp_path, section, key, 
         config_from_dict(config)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("stage2", "conv_stride", 0),
+    ("stage2", "conv_filters", 0),
+    ("stage2", "conv_kernel", -1),
+    ("stage2", "capsule_kernel", -3),
+    ("training", "seed", -1),
+    ("training", "adam_epsilon", 0),
+])
+def test_out_of_range_config_value_rejected(workspace, tmp_path, section, key, value):
+    config = json.loads(json.dumps(workspace["config"]))
+    config.setdefault(section, {})[key] = value
+    config["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        config_from_dict(config)
+
+
+def test_negative_seed_override_rejected(workspace, tmp_path):
+    config = dict(workspace["config"], output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(path), "--seed-override", "-1"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_config_round_trips_and_float_fields_take_ints(tmp_path):
     path = tmp_path / "default.json"
     save_config(RunConfig(), str(path))

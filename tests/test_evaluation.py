@@ -11,6 +11,11 @@ from hsicaps import evaluation as ev
 from hsicaps.errors import DataError
 
 
+def index_by_name(name: str) -> ev.VegetationIndexDef:
+    """The built-in vegetation index called ``name``."""
+    return next(idx for idx in ev.BUILTIN_INDICES if idx.name == name)
+
+
 # confusion --------------------------------------------------------------
 
 
@@ -321,14 +326,14 @@ def spectrum_with(values):
 
 def test_ndvi_hand_value():
     spec, wl = spectrum_with({760.0: 0.5, 560.0: 0.1})
-    out = ev.vegetation_index(spec, wl, ev.index_by_name("NDVI"))
+    out = ev.vegetation_index(spec, wl, index_by_name("NDVI"))
     assert out == pytest.approx(0.4 / 0.6)
 
 
 def test_equal_bands_zero():
     spec, wl = spectrum_with({760.0: 0.3, 560.0: 0.3})
-    assert ev.vegetation_index(spec, wl, ev.index_by_name("NDVI")) == pytest.approx(0.0)
-    assert ev.vegetation_index(spec, wl, ev.index_by_name("CIred-edge")) == \
+    assert ev.vegetation_index(spec, wl, index_by_name("NDVI")) == pytest.approx(0.0)
+    assert ev.vegetation_index(spec, wl, index_by_name("CIred-edge")) == \
         pytest.approx(0.0)
 
 
@@ -336,15 +341,15 @@ def test_ndwi_unavailable_on_vnir_sensor():
     wl = np.linspace(450.0, 950.0, 125)
     spec = np.full(125, 0.4)
     with pytest.raises(DataError, match="wavelength unavailable for NDWI"):
-        ev.vegetation_index(spec, wl, ev.index_by_name("NDWI"))
+        ev.vegetation_index(spec, wl, index_by_name("NDWI"))
 
 
 def test_nearest_band_tolerance():
     spec, wl = spectrum_with({755.0: 0.5, 556.0: 0.1})
-    out = ev.vegetation_index(spec, wl, ev.index_by_name("NDVI"), tolerance_nm=10.0)
+    out = ev.vegetation_index(spec, wl, index_by_name("NDVI"), tolerance_nm=10.0)
     assert out == pytest.approx(0.4 / 0.6)
     with pytest.raises(DataError):
-        ev.vegetation_index(spec, wl, ev.index_by_name("NDVI"), tolerance_nm=2.0)
+        ev.vegetation_index(spec, wl, index_by_name("NDVI"), tolerance_nm=2.0)
 
 
 def hand_oracles(r):
@@ -385,7 +390,7 @@ def test_vegetation_index_stack_equals_per_pixel_calls(rng):
         per_pixel = np.array([[ev.vegetation_index(spectra[i, j], wl, idx)
                                for j in range(4)] for i in range(3)])
         assert np.array_equal(stacked, per_pixel, equal_nan=True), idx.name
-    assert np.isinf(ev.vegetation_index(spectra[1, 2], wl, ev.index_by_name("CIred-edge")))
+    assert np.isinf(ev.vegetation_index(spectra[1, 2], wl, index_by_name("CIred-edge")))
     assert isinstance(ev.vegetation_index(spectra[1, 1], wl, ev.BUILTIN_INDICES[0]), float)
 
 

@@ -206,8 +206,7 @@ def unfolded_forward(mdl, patches):
     feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
                                        cfg.training.enhancement_on)
     fmap = ad.reshape(feats, (N, s, s, mdl.f_n))
-    o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"],
-                             cfg.stage2.conv_stride, "relu")
+    o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"], cfg.stage2.conv_stride)
     return model_mod._capsules(mdl, o)
 
 

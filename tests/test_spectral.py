@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_autodiff import fd_check
+from test_autodiff import fd_check, parameter
 
 from hsicaps import autodiff as ad
 from hsicaps import data, model as model_mod, spectral
@@ -21,7 +21,7 @@ def conv1d(signal, kernels, bias=None, stride=1):
         w = w.reshape(1, 1, -1)
     b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
     sig = np.asarray(signal, dtype=np.float64)
-    return spectral.conv1d_batch(sig.reshape(1, -1, 1), w, b, stride)[0]
+    return (ad.conv(sig.reshape(1, -1, 1), w.transpose(0, 2, 1), stride) + b)[0]
 
 
 # conv1d -------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_conv1d_matches_brute_force(rng):
 
 
 def test_conv1d_short_signal_error():
-    with pytest.raises(DataError, match="shorter"):
+    with pytest.raises(DataError, match="smaller than kernel"):
         conv1d([1.0], [1, 1])
 
 
@@ -264,7 +264,7 @@ def test_triangular_index_matches_shoelace(rng):
 
 def test_index_transform_gradients(rng):
     # positive features keep every normalized difference strictly inside the clamp
-    x1 = ad.parameter(rng.uniform(0.2, 1.0, size=(3, 6)))
+    x1 = parameter(rng.uniform(0.2, 1.0, size=(3, 6)))
     combos = spectral.triple_indices(6)[::3]
 
     def build():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from test_autodiff import parameter
 
 from hsicaps import autodiff as ad
 from hsicaps import data, model as model_mod, spectral, synthetic, training
@@ -136,7 +137,7 @@ def test_gradients_quadratic_bowl():
 
 
 def test_gradients_zero_plateau():
-    lengths = ad.parameter(np.array([0.95, 0.05]))
+    lengths = parameter(np.array([0.95, 0.05]))
     cfg = MarginLossConfig()
 
     def loss_fn():
@@ -149,7 +150,7 @@ def test_gradients_zero_plateau():
 
 
 def test_gradients_nonfinite_loss_raises():
-    p = ad.parameter(np.array([0.0]))
+    p = parameter(np.array([0.0]))
     with np.errstate(divide="ignore"), pytest.raises(NumericError):
         training.compute_gradients(lambda: ad.sum(ad.div(1.0, p)), [p])
 
