@@ -6,7 +6,6 @@ failure.
 """
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -178,10 +177,15 @@ def _read_references(path, coords):
             if len(parts) != len(header):
                 raise DataError(f"ragged reference CSV {path} at line {line_no}")
             try:
-                table[(int(parts[0]), int(parts[1]))] = [float(v) for v in parts[2:]]
+                rc = (int(parts[0]), int(parts[1]))
+                row = [float(v) for v in parts[2:]]
             except ValueError as exc:
                 raise DataError(f"malformed reference CSV {path} at line {line_no}: "
                                 f"{exc}") from exc
+            if rc in table:
+                raise DataError(f"duplicate pixel {rc} in reference CSV {path} "
+                                f"at line {line_no}")
+            table[rc] = row
     missing = [rc for rc in coords if rc not in table]
     if missing:
         raise DataError(f"reference CSV missing pixel {missing[0]}")
@@ -253,7 +257,12 @@ def _cmd_interpret(args) -> int:
             fh.writelines(f"{feat},{ref},{'' if math.isnan(v) else repr(v)}\n"
                           for feat, v in zip(names, column.tolist()))
 
-    _write_pixel_csv(os.path.join(out_dir, "features.csv"), names, coords, labs, feats)
+    np.save(os.path.join(out_dir, "features.npy"), feats)
+    with open(os.path.join(out_dir, "features_index.csv"), "w", encoding="utf-8") as fh:
+        fh.write("row,col,label\n")
+        fh.writelines(f"{r},{c},{lab}\n" for (r, c), lab in zip(coords, labs.tolist()))
+    with open(os.path.join(out_dir, "feature_names.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{name}\n" for name in names)
 
     # Capsule-level exports need each pixel's patch neighbourhood.
     scene = model_mod.scene_forward(mdl, norm_cube, labelled)
@@ -267,12 +276,7 @@ def _cmd_interpret(args) -> int:
                      [f"pose_{m + 1}_{k + 1}" for m in range(m_count) for k in range(k_dim)],
                      coords, labs, poses.reshape(len(coords), -1))
 
-    kernels = detached.params["caps.conv.w"]
-    with open(os.path.join(out_dir, "conv_kernels.csv"), "w", encoding="utf-8") as fh:
-        fh.write("filter,ki,kj,channel,value\n")
-        index = itertools.product(*(range(n) for n in kernels.shape))
-        fh.writelines(f"{j},{a},{b},{ch},{v!r}\n"
-                      for (j, a, b, ch), v in zip(index, kernels.ravel().tolist()))
+    np.save(os.path.join(out_dir, "conv_kernels.npy"), detached.params["caps.conv.w"])
 
     doc = evaluation.interpretability_report(
         entropy_per_class=evaluation.entropy_per_class(feats, labs),

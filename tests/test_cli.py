@@ -343,6 +343,31 @@ def test_predict_rejects_mistyped_cube_header(workspace, tmp_path, capsys, key, 
     assert "cube header" in capsys.readouterr().err
 
 
+INTERPRET_FILES = ("features.npy", "features_index.csv", "feature_names.txt",
+                   "r_squared.csv", "lengths.csv", "poses.csv", "conv_kernels.npy",
+                   "interpretability.json")
+
+
+def _read_features(out):
+    """(pixel coordinates, feature names, feature matrix) from an interpret
+    output directory."""
+    lines = (out / "features_index.csv").read_text().splitlines()
+    coords = np.array([[int(v) for v in line.split(",")[:2]] for line in lines[1:]])
+    names = (out / "feature_names.txt").read_text().splitlines()
+    feats = np.load(out / "features.npy", allow_pickle=False)
+    assert feats.shape == (len(coords), len(names))
+    return coords, names, feats
+
+
+def _interpret(workspace, out, *extra):
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--out", str(out), *extra,
+    ])
+    assert rc == 0
+
+
 def test_interpret_report(workspace, tmp_path):
     out = tmp_path / "interp"
     rc = cli.main([
@@ -356,16 +381,16 @@ def test_interpret_report(workspace, tmp_path):
     for entropy in report["entropy_per_class"].values():
         assert 0.0 <= entropy <= math.log(n_features) + 1e-9
     assert report["dunn_index"] is None or report["dunn_index"] >= 0.0
-    for name in ("features.csv", "r_squared.csv", "lengths.csv", "poses.csv",
-                 "conv_kernels.csv"):
+    for name in INTERPRET_FILES:
         assert (out / name).exists()
-    header = (out / "features.csv").read_text().splitlines()[0].split(",")
-    assert header[:3] == ["row", "col", "label"]
-    assert header[3].startswith("b1_")
+    for name in ("features.csv", "conv_kernels.csv"):
+        assert not (out / name).exists()
+    assert (out / "features_index.csv").read_text().splitlines()[0] == "row,col,label"
+    assert (out / "feature_names.txt").read_text().splitlines()[0].startswith("b1_")
 
 
-def test_interpret_features_csv_equals_pixel_features(workspace, tmp_path):
-    # features.csv is the full [x1, x2, x3] vector, though forward passes
+def test_interpret_features_npy_equals_pixel_features(workspace, tmp_path):
+    # features.npy is the full [x1, x2, x3] vector, though forward passes
     # never build x3 since the triangular index is folded into the conv kernel
     out = tmp_path / "interp_feats"
     rc = cli.main([
@@ -382,14 +407,17 @@ def test_interpret_features_csv_equals_pixel_features(workspace, tmp_path):
     x1 = spectral.base_features(norm.data[rows, cols].astype(np.float64), detached)
     want = spectral.enhanced_features(x1, mdl.config.stage1.epsilon, mdl.tri_combos)
     assert want.shape[1] == mdl.f_n
-    lines = (out / "features.csv").read_text().splitlines()
-    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    np.testing.assert_array_equal(table[:, :2], np.column_stack([rows, cols]))
-    np.testing.assert_array_equal(table[:, 2], labels[rows, cols])
-    np.testing.assert_array_equal(table[:, 3:], want)
+    feats = np.load(out / "features.npy", allow_pickle=False)
+    assert feats.dtype == np.float64
+    np.testing.assert_array_equal(feats, want)
+    lines = (out / "features_index.csv").read_text().splitlines()
+    assert lines[0] == "row,col,label"
+    index = np.array([[int(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(index[:, :2], np.column_stack([rows, cols]))
+    np.testing.assert_array_equal(index[:, 2], labels[rows, cols])
 
 
-def test_interpret_conv_kernels_csv_is_numeric(workspace, tmp_path):
+def test_interpret_conv_kernels_npy_equals_checkpoint(workspace, tmp_path):
     out = tmp_path / "interp_kernels"
     rc = cli.main([
         "interpret", "--checkpoint", workspace["checkpoint"],
@@ -398,13 +426,10 @@ def test_interpret_conv_kernels_csv_is_numeric(workspace, tmp_path):
     ])
     assert rc == 0
     kernels = training.load_checkpoint(workspace["checkpoint"])[0].params["caps.conv.w"].data
-    lines = (out / "conv_kernels.csv").read_text().splitlines()
-    assert lines[0] == "filter,ki,kj,channel,value"
-    assert len(lines) == kernels.size + 1
-    for line, index in zip(lines[1:], np.ndindex(kernels.shape)):
-        *ids, value = line.split(",")
-        assert tuple(int(v) for v in ids) == index
-        assert float(value) == kernels[index]
+    got = np.load(out / "conv_kernels.npy", allow_pickle=False)
+    assert got.shape == kernels.shape and got.dtype == kernels.dtype == np.float64
+    for index in np.ndindex(kernels.shape):  # (filter, ki, kj, channel)
+        assert got[index] == kernels[index]
 
 
 def test_interpret_self_reference_r2_is_one(workspace, tmp_path):
@@ -415,15 +440,13 @@ def test_interpret_self_reference_r2_is_one(workspace, tmp_path):
         "--out", str(base),
     ])
     assert rc == 0
-    lines = (base / "features.csv").read_text().strip().splitlines()
-    header = lines[0].split(",")
-    col = header.index("b1_1")
+    coords, names, feats = _read_features(base)
+    col = names.index("b1_1")
     refs = tmp_path / "refs.csv"
     with open(refs, "w") as fh:
         fh.write("row,col,self_ref\n")
-        for line in lines[1:]:
-            parts = line.split(",")
-            fh.write(f"{parts[0]},{parts[1]},{parts[col]}\n")
+        for (r, c), value in zip(coords, feats[:, col].tolist()):
+            fh.write(f"{r},{c},{value!r}\n")
     out = tmp_path / "interp_self"
     rc = cli.main([
         "interpret", "--checkpoint", workspace["checkpoint"],
@@ -477,15 +500,6 @@ def test_evaluate_rejects_malformed_split(workspace, tmp_path, capsys, content):
     assert f"malformed split file {split_path}" in capsys.readouterr().err
 
 
-def _interpret(workspace, out, *extra):
-    rc = cli.main([
-        "interpret", "--checkpoint", workspace["checkpoint"],
-        "--cube", workspace["cube"], "--labels", workspace["labels"],
-        "--out", str(out), *extra,
-    ])
-    assert rc == 0
-
-
 def test_interpret_rejects_malformed_references(workspace, tmp_path, capsys):
     coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
     refs = tmp_path / "refs.csv"
@@ -507,14 +521,45 @@ def test_interpret_rejects_malformed_references(workspace, tmp_path, capsys):
     assert rc == 2
 
 
+def test_interpret_rejects_duplicate_reference_rows(workspace, tmp_path, capsys):
+    coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
+    refs = tmp_path / "refs.csv"
+    lines = ["row,col,ref"] + [f"{r},{c},0.1" for r, c in coords]
+    lines.insert(3, lines[1].replace("0.1", "0.9"))
+    refs.write_text("\n".join(lines) + "\n")
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--references", str(refs), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    r, c = coords[0]
+    assert (f"duplicate pixel ({r}, {c}) in reference CSV {refs} at line 4"
+            in capsys.readouterr().err)
+
+
+def test_interpret_feature_names_match_features_and_r_squared(workspace, tmp_path):
+    coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
+    named, unnamed = tmp_path / "named.csv", tmp_path / "unnamed.csv"
+    named.write_text("row,col,first,second\n" + "".join(
+        f"{r},{c},{0.5 * i},{(-1.0) ** i}\n" for i, (r, c) in enumerate(coords)))
+    unnamed.write_text("row,col\n" + "".join(f"{r},{c}\n" for r, c in coords))
+    _interpret(workspace, tmp_path / "a", "--references", str(named))
+    _interpret(workspace, tmp_path / "b", "--references", str(unnamed))
+    _, names, _ = _read_features(tmp_path / "a")  # one name per column
+    cells = [line.split(",") for line in
+             (tmp_path / "a" / "r_squared.csv").read_text().splitlines()[1:]]
+    for ref in ("first", "second"):
+        assert [f for f, r, _ in cells if r == ref] == names
+    assert (tmp_path / "b" / "r_squared.csv").read_text() == "feature,reference,r2\n"
+    assert _read_features(tmp_path / "b")[1] == names
+
+
 def test_interpret_r_squared_csv_matches_oracle(workspace, tmp_path):
     # r2 of every feature against references with a NaN cell, a constant
-    # column and a column with only 2 finite values, from features.csv
+    # column and a column with only 2 finite values, from features.npy
     _interpret(workspace, tmp_path / "base")
-    lines = (tmp_path / "base" / "features.csv").read_text().splitlines()
-    names = lines[0].split(",")[3:]
-    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    coords, feats = table[:, :2].astype(int), table[:, 3:]
+    coords, names, feats = _read_features(tmp_path / "base")
     n = len(coords)
     rng = np.random.default_rng(5)
     ref_names = ["noisy", "flat", "sparse", "tracks_b1_2"]
@@ -558,9 +603,7 @@ def test_interpret_r_squared_csv_matches_oracle(workspace, tmp_path):
 
 
 def test_interpret_twice_is_byte_identical(workspace, tmp_path):
-    files = ("features.csv", "r_squared.csv", "lengths.csv", "poses.csv",
-             "conv_kernels.csv", "interpretability.json")
     for run in ("a", "b"):
         _interpret(workspace, tmp_path / run)
-    for name in files:
+    for name in INTERPRET_FILES:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
