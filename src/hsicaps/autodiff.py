@@ -17,16 +17,16 @@ into its input's ``.grad``. An input passed twice receives both VJPs.
 
 Every linear map runs through one contraction, ``matmul``, which folds
 the leading axes of its left operand into one 2-D product; ``conv`` is
-that product over ``unfold``'s windows, for any number of spatial axes.
+that product over ``unfold``'s strided views (no op writes its inputs).
 
 Hinge-style kinks (relu, clip) use the zero-side subgradient.
 """
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError
 
@@ -231,40 +231,29 @@ def concat(xs, axis):
 # sliding windows (valid convolution support) --------------------------
 
 
-@lru_cache(maxsize=128)
-def _window_picks(shape, size, stride):
-    """Window and output shapes of ``unfold``, and per window offset, in
-    row-major order, the (window index, source slice of x) pair it copies."""
-    n, *dims, c = shape
-    outs = [(d - k) // stride + 1 for d, k in zip(dims, size)]
-    spans = [[slice(o, o + stride * m, stride) for o in range(k)] for k, m in zip(size, outs)]
-    picks = tuple(((..., *off, slice(None)), (slice(None), *src))
-                  for off, src in zip(itertools.product(*map(range, size)),
-                                      itertools.product(*spans)))
-    return (n, *outs, *size, c), (n, *outs, math.prod(size) * c), picks
-
-
 def unfold(x, size, stride):
     """Sliding windows over the spatial axes of a channels-last batch.
 
     ``size`` is the tuple ``(w,)`` for (P, L, C) -> (P, L1, w*C), or
-    ``(k, k)`` for (N, H, W, C) -> (N, H1, W1, k*k*C). Windows are copied
-    one offset at a time, and the backward scatter-adds in the same order.
+    ``(k, k)`` for (N, H, W, C) -> (N, H1, W1, k*k*C): a read-only strided
+    view of ``x`` where the window and channel axes merge without a copy.
+    ``as_strided`` builds it; ``sliding_window_view``'s checks slow tiny arrays.
     """
     xv = _val(x)
-    win_shape, out_shape, picks = _window_picks(xv.shape, size, stride)
-    windows = np.empty(win_shape, dtype=np.float64)
-    for at, src in picks:
-        windows[at] = xv[src]
+    (n, *dims, c), (s0, *steps, sc) = xv.shape, xv.strides
+    outs = tuple((d - k) // stride + 1 for d, k in zip(dims, size))
+    windows = as_strided(xv, (n, *outs, *size, c), (s0, *(stride * s for s in steps), *steps, sc),
+                         writeable=False)
 
     def vjp(g):
-        gw = g.reshape(win_shape)
+        gw = g.reshape(windows.shape)
         gx = np.zeros_like(xv)
-        for at, src in picks:
-            gx[src] += gw[at]
+        for off in itertools.product(*map(range, size)):
+            src = tuple(slice(o, o + stride * m, stride) for o, m in zip(off, outs))
+            gx[(slice(None), *src)] += gw[(..., *off, slice(None))]
         return gx
 
-    return _node(windows.reshape(out_shape), (x, vjp))
+    return _node(windows.reshape(n, *outs, math.prod(size) * c), (x, vjp))
 
 
 def conv(x, weights, stride):

@@ -170,6 +170,9 @@ def _read_references(path, coords):
         header = fh.readline().strip().split(",")
         if header[:2] != ["row", "col"]:
             raise DataError("reference CSV must start with row,col columns")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise DataError(f"repeated column {repeated[0]!r} in reference CSV {path}")
         names = header[2:]
         table = {}
         for line_no, line in enumerate(fh, 2):
@@ -191,16 +194,6 @@ def _read_references(path, coords):
         raise DataError(f"reference CSV missing pixel {missing[0]}")
     values = np.array([table[rc] for rc in coords])
     return names, values
-
-
-def _write_pixel_csv(path, columns, coords, labs, values):
-    """Header 'row,col,label,<columns>', then one line per pixel: its
-    coordinates, label and the repr of each float in its row of ``values``.
-    Rows are converted one at a time, so no list of the whole array is built."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,label," + ",".join(columns) + "\n")
-        fh.writelines(f"{r},{c},{lab}," + ",".join(map(repr, vec.tolist())) + "\n"
-                      for (r, c), lab, vec in zip(coords, labs.tolist(), values))
 
 
 def _cmd_interpret(args) -> int:
@@ -266,15 +259,13 @@ def _cmd_interpret(args) -> int:
 
     # Capsule-level exports need each pixel's patch neighbourhood.
     scene = model_mod.scene_forward(mdl, norm_cube, labelled)
-    poses, lengths = scene["poses"], scene["lengths"]
     activities = scene["v"].reshape(len(coords), -1)
 
-    _write_pixel_csv(os.path.join(out_dir, "lengths.csv"),
-                     [f"len_{i + 1}" for i in range(mdl.n_class)], coords, labs, lengths)
-    _, m_count, k_dim = poses.shape
-    _write_pixel_csv(os.path.join(out_dir, "poses.csv"),
-                     [f"pose_{m + 1}_{k + 1}" for m in range(m_count) for k in range(k_dim)],
-                     coords, labs, poses.reshape(len(coords), -1))
+    with open(os.path.join(out_dir, "lengths.csv"), "w", encoding="utf-8") as fh:
+        fh.write("row,col,label," + ",".join(f"len_{i + 1}" for i in range(mdl.n_class)) + "\n")
+        fh.writelines(f"{r},{c},{lab}," + ",".join(map(repr, vec.tolist())) + "\n"
+                      for (r, c), lab, vec in zip(coords, labs.tolist(), scene["lengths"]))
+    np.save(os.path.join(out_dir, "poses.npy"), scene["poses"])
 
     np.save(os.path.join(out_dir, "conv_kernels.npy"), detached.params["caps.conv.w"])
 

@@ -5,6 +5,7 @@ Cube container format: a UTF-8 JSON header
 wavelengths_nm:[...], data_file:"<relative path>"}`` next to a raw file
 of little-endian float32, band-interleaved-by-pixel, row-major.
 
+Patches are windows of the mirror-padded cube's ``sliding_window_view``.
 Cubes, label maps, slice sets and splits are frozen after construction
 (their arrays are write-locked) and every operation is a pure function.
 """
@@ -15,6 +16,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -315,16 +317,13 @@ def pixels_at(array: np.ndarray, coords) -> np.ndarray:
 
 
 def extract_patch_batch(cube: HsiCube, coords, size: int) -> np.ndarray:
-    """Stack of windows centered on ``coords``, shape (N, s, s, B).
+    """Windows centered on ``coords``, a C-contiguous float64 (N, s, s, B).
 
     Borders are mirror-reflected; every center must lie in the image.
     """
-    padded = reflect_pad(cube, size)
+    windows = sliding_window_view(reflect_pad(cube, size), (size, size, cube.bands))[:, :, 0]
     rc = centre_array(cube, coords)
-    out = np.empty((len(rc), size, size, cube.bands), dtype=np.float64)
-    for i, (r, c) in enumerate(rc):
-        out[i] = padded[r : r + size, c : c + size, :]
-    return out
+    return np.ascontiguousarray(windows[rc[:, 0], rc[:, 1]], dtype=np.float64)
 
 
 def split_samples(labels: LabelMap, train_fraction: float, seed: int) -> SampleSplit:

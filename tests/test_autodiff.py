@@ -188,11 +188,38 @@ def brute_windows(x, size, stride):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_unfold_matches_brute_force_windows(rng, stride):
-    x1 = rng.normal(size=(2, 9, 3))
-    x2 = rng.normal(size=(2, 6, 7, 2))
-    np.testing.assert_array_equal(ad.unfold(x1, (4,), stride), brute_windows(x1, (4,), stride))
-    np.testing.assert_array_equal(ad.unfold(x2, (3, 3), stride),
-                                  brute_windows(x2, (3, 3), stride))
+    # scene_forward hands the capsule block transposed centre windows, and
+    # every slice head's conv1 unfolds a one-channel band axis
+    cases = [(rng.normal(size=(2, 9, 3)), (4,)), (rng.normal(size=(2, 6, 7, 2)), (3, 3)),
+             (rng.normal(size=(3, 2, 7, 6)).transpose(0, 2, 3, 1), (3, 3)),
+             (rng.normal(size=(4, 11, 1)), (5,))]
+    for x, size in cases:
+        np.testing.assert_array_equal(ad.unfold(x, size, stride), brute_windows(x, size, stride))
+    bands = cases[-1][0]
+    out = ad.unfold(bands, (5,), stride)
+    assert np.shares_memory(out, bands) and not out.flags.writeable
+
+
+def brute_fold(g, shape, size, stride):
+    """Adjoint of ``brute_windows``: each window's gradient added back into
+    its input positions, one output index at a time."""
+    gx = np.zeros(shape)
+    for idx in np.ndindex(*g.shape[:-1]):
+        sl = tuple(slice(i * stride, i * stride + k) for i, k in zip(idx[1:], size))
+        gx[(idx[0],) + sl] += g[idx].reshape(*size, shape[-1])
+    return gx
+
+
+@pytest.mark.parametrize("shape, size", [((2, 9, 3), (4,)), ((2, 6, 7, 2), (3, 3))])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_unfold_vjp_equals_brute_force_fold(rng, shape, size, stride):
+    data = rng.normal(size=shape)
+    data.setflags(write=False)
+    x = ad.Tensor(data, requires_grad=True)
+    u = ad.unfold(x, size, stride)
+    g = rng.normal(size=u.data.shape)
+    ad.backward(ad.sum(ad.mul(u, g)))
+    np.testing.assert_allclose(x.grad, brute_fold(g, shape, size, stride), rtol=0, atol=1e-12)
 
 
 def test_unfold1d_matches_manual_windows(rng):

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from hsicaps import cli, data, evaluation, spectral, synthetic, training
+from hsicaps import cli, data, evaluation, model as model_mod, spectral, synthetic, training
 from hsicaps.config import RunConfig, config_from_dict, load_config, save_config
 from hsicaps.errors import ConfigError
 from test_training import corrupt_gradients
@@ -344,7 +344,7 @@ def test_predict_rejects_mistyped_cube_header(workspace, tmp_path, capsys, key, 
 
 
 INTERPRET_FILES = ("features.npy", "features_index.csv", "feature_names.txt",
-                   "r_squared.csv", "lengths.csv", "poses.csv", "conv_kernels.npy",
+                   "r_squared.csv", "lengths.csv", "poses.npy", "conv_kernels.npy",
                    "interpretability.json")
 
 
@@ -383,7 +383,7 @@ def test_interpret_report(workspace, tmp_path):
     assert report["dunn_index"] is None or report["dunn_index"] >= 0.0
     for name in INTERPRET_FILES:
         assert (out / name).exists()
-    for name in ("features.csv", "conv_kernels.csv"):
+    for name in ("features.csv", "conv_kernels.csv", "poses.csv"):
         assert not (out / name).exists()
     assert (out / "features_index.csv").read_text().splitlines()[0] == "row,col,label"
     assert (out / "feature_names.txt").read_text().splitlines()[0].startswith("b1_")
@@ -430,6 +430,21 @@ def test_interpret_conv_kernels_npy_equals_checkpoint(workspace, tmp_path):
     assert got.shape == kernels.shape and got.dtype == kernels.dtype == np.float64
     for index in np.ndindex(kernels.shape):  # (filter, ki, kj, channel)
         assert got[index] == kernels[index]
+
+
+def test_interpret_poses_npy_equals_scene_forward(workspace, tmp_path):
+    out = tmp_path / "interp_poses"
+    _interpret(workspace, out)
+    mdl = training.load_checkpoint(workspace["checkpoint"])[0]
+    labelled = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
+    norm = data.normalize_cube(data.load_cube(workspace["cube"]))
+    want = model_mod.scene_forward(mdl, norm, labelled)["poses"]
+    got = np.load(out / "poses.npy", allow_pickle=False)
+    assert got.dtype == np.float64 and got.ndim == 3
+    np.testing.assert_array_equal(got, want)
+    index = (out / "features_index.csv").read_text().splitlines()[1:]
+    assert [tuple(map(int, line.split(",")[:2])) for line in index] == list(
+        map(tuple, labelled.tolist()))
 
 
 def test_interpret_self_reference_r2_is_one(workspace, tmp_path):
@@ -536,6 +551,21 @@ def test_interpret_rejects_duplicate_reference_rows(workspace, tmp_path, capsys)
     r, c = coords[0]
     assert (f"duplicate pixel ({r}, {c}) in reference CSV {refs} at line 4"
             in capsys.readouterr().err)
+
+
+def test_interpret_rejects_repeated_reference_columns(workspace, tmp_path, capsys):
+    coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
+    refs = tmp_path / "refs.csv"
+    refs.write_text("row,col,chl,chl\n" + "".join(f"{r},{c},0.1,0.2\n" for r, c in coords))
+    out = tmp_path / "out"
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--references", str(refs), "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"repeated column 'chl' in reference CSV {refs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_interpret_feature_names_match_features_and_r_squared(workspace, tmp_path):

@@ -173,6 +173,20 @@ def test_corner_patch_mirrors():
     np.testing.assert_array_equal(patch, expected)
 
 
+@pytest.mark.parametrize("shape, size", [((6, 5, 3), 3), ((2, 3, 4), 5)])
+def test_patch_batch_is_contiguous_float64_window_of_reflect_pad(rng, shape, size):
+    # the second cube is narrower than the patch, so its padding reflects twice
+    wavelengths = [400.0 + 10 * i for i in range(shape[2])]
+    cube = make_cube(rng.random(shape).astype(np.float32), wavelengths)
+    coords = [(r, c) for r in range(shape[0]) for c in range(shape[1])][::-1]
+    patches = data.extract_patch_batch(cube, coords, size)
+    assert patches.dtype == np.float64 and patches.flags.c_contiguous
+    assert patches.shape == (len(coords), size, size, shape[2])
+    padded = data.reflect_pad(cube, size)
+    for (r, c), patch in zip(coords, patches):
+        np.testing.assert_array_equal(patch, padded[r : r + size, c : c + size])
+
+
 def test_patch_label_matches_center(small_cube, small_labels):
     # a patch carries no label: its center pixel is the one the coords name
     coords = [(r, c) for r in range(small_cube.height) for c in range(small_cube.width)]
