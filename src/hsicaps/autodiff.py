@@ -13,7 +13,8 @@ the plain ndarray, so numeric model code can be written once and serve
 both the training graph and plain (inference / inspection) evaluation.
 Otherwise it returns a Tensor that keeps the tracked pairs, and
 ``backward`` walks them in reverse topological order, adding each VJP
-into its input's ``.grad``. An input passed twice receives both VJPs.
+into its input's ``.grad`` and releasing each interior node once its VJPs
+have run. An input passed twice receives both VJPs.
 
 Every linear map runs through one contraction, ``matmul``, which folds
 the leading axes of its left operand into one 2-D product; ``conv`` is
@@ -65,7 +66,11 @@ def value(x):
 
 
 def _tracked(x):
-    return isinstance(x, Tensor) and (x.requires_grad or x._inputs)
+    if not isinstance(x, Tensor):
+        return False
+    if x._inputs is None:
+        raise ValueError("backward already walked and released this graph")
+    return x.requires_grad or x._inputs
 
 
 def _val(x):
@@ -228,6 +233,25 @@ def concat(xs, axis):
                  *((x, part(lo, hi)) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])))
 
 
+def take_rows(x, index):
+    """``x[index]`` along the first axis, for a non-negative integer ``index``.
+
+    The VJP sums the gradient rows of repeated indices (a stable sort, then
+    ``np.add.reduceat``); rows that no index picks get zero.
+    """
+    xv = _val(x)
+
+    def vjp(g):
+        order = np.argsort(index, kind="stable")
+        picked = index[order]
+        starts = np.flatnonzero(np.diff(picked, prepend=-1))
+        gx = np.zeros_like(xv)
+        gx[picked[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        return gx
+
+    return _node(xv[index], (x, vjp))
+
+
 # sliding windows (valid convolution support) --------------------------
 
 
@@ -304,6 +328,8 @@ def _toposort(root):
             continue
         if id(node) in seen:
             continue
+        if node._inputs is None:
+            raise ValueError("backward already walked and released this graph")
         seen.add(id(node))
         stack.append((node, True))
         for p, _ in node._inputs:
@@ -313,9 +339,13 @@ def _toposort(root):
 
 
 def backward(loss):
-    """Populate ``.grad`` of every tracked tensor reachable from ``loss``.
+    """Populate ``.grad`` of every leaf tensor reachable from ``loss``.
 
-    Grads from any previous backward pass over the same nodes are reset.
+    Grads from any previous backward pass over the same leaves are reset.
+    The walk releases the tape as it goes: once an interior node's VJPs
+    have run, its ``.grad`` and its inputs are dropped (``_inputs`` becomes
+    None), so only leaves keep ``.grad``. Walking the same graph again, or
+    passing a released node to an op, raises ValueError.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -325,7 +355,11 @@ def backward(loss):
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        if not node._inputs:
+            continue
         for x, vjp in node._inputs:
             g = vjp(node.grad)
             x.grad = g if x.grad is None else x.grad + g
+        node.grad, node._inputs = None, None

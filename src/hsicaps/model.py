@@ -16,7 +16,8 @@ builds the training graph; with detached parameters it runs as plain
 numpy. Inference runs the pixel features and the spatial convolution
 fully convolutionally over row tiles of a whole scene (``scene_forward``),
 so each pixel's spectrum is processed once, and then feeds every centre's
-conv window through the same capsule block.
+conv window through the same capsule block. ``forward`` likewise runs the
+pixel features once per distinct pixel of its batch.
 """
 
 import copy
@@ -181,6 +182,12 @@ def init_model(slices, n_class: int, run_cfg, rng, tri_cap: int = None) -> Model
 def forward(model: Model, patches: np.ndarray):
     """Batch forward pass.
 
+    Stage 1 is per pixel, so it runs once per distinct spectrum of the
+    batch: rows are deduped by their bytes (overlapping windows and reflect
+    padding repeat pixels), and ``ad.take_rows`` gathers the features back
+    into the (N, s, s, F) map. Equal bytes give equal features, so the map
+    is the one a per-row pass would give.
+
     Args:
         model: tracked or detached model.
         patches: (N, s, s, B) reflectance windows.
@@ -196,7 +203,10 @@ def forward(model: Model, patches: np.ndarray):
             f"patch shape {s1}x{s2} does not match model patch size {model.patch_size}"
         )
     p, cfg = model.params, model.config
-    feats = spectral.pixel_features(patches.reshape(N * s1 * s2, B), model)
+    rows = np.ascontiguousarray(patches).reshape(N * s1 * s2, B)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * B))).reshape(-1)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    feats = ad.take_rows(spectral.pixel_features(rows[first], model), inv)
     fmap = ad.reshape(feats, (N, s1, s2, ad.shape_of(feats)[-1]))
     o = capsule.conv2d_batch(fmap, spectral.conv_kernel(model), p["caps.conv.b"],
                              cfg.stage2.conv_stride)

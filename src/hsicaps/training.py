@@ -449,17 +449,19 @@ def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
     patches = data.extract_patch_batch(cube, coords, config.training.patch_size)
     targets = data.pixels_at(labels.labels, coords)
 
-    def loss_fn():
-        return batch_loss(mdl, patches, targets, config.training)
+    def loss_of(m):
+        return lambda: batch_loss(m, patches, targets, config.training)
 
-    _, grad = compute_gradients(loss_fn, mdl.params.values())
-
+    _, grad = compute_gradients(loss_of(mdl), mdl.params.values())
+    # detached views share theta, so they see each perturbation, and the
+    # finite-difference losses build no graph
+    fd_loss = loss_of(mdl.detached())
     rng = np.random.default_rng(seed)
     total = mdl.theta.size
     picks = rng.choice(total, size=min(n_samples, total), replace=False)
     worst, at = 0.0, None
     for i in picks:
-        err = _rel_error(float(grad[i]), finite_difference_gradient(loss_fn, mdl.theta, i, h))
+        err = _rel_error(float(grad[i]), finite_difference_gradient(fd_loss, mdl.theta, i, h))
         if err > worst:
             worst, at = err, int(i)
     return GradcheckReport(worst, len(picks), "" if at is None else mdl.name_of(at),

@@ -175,6 +175,26 @@ def test_repeated_selection_accumulates():
     np.testing.assert_array_equal(x.grad, [[0.0, 3.0, 0.0, 0.0]])
 
 
+@pytest.mark.parametrize("index", [
+    [2, 0, 2, 2, 1, 0],  # every row, some repeated
+    [3, 3, 0, 3],  # rows 1, 2 and 4 unreferenced
+    [],
+])
+def test_take_rows_vjp_equals_add_at(rng, index):
+    index = np.asarray(index, dtype=np.intp)
+    x = parameter(rng.normal(size=(5, 2, 3)))
+    g = rng.normal(size=(len(index), 2, 3))
+    out = ad.take_rows(x, index)
+    np.testing.assert_array_equal(out.data, x.data[index])
+    ad.backward(ad.sum(ad.mul(out, g)))
+    want = np.zeros_like(x.data)
+    np.add.at(want, index, g)
+    np.testing.assert_allclose(x.grad, want, rtol=1e-13, atol=1e-15)  # sums reassociate
+    unused = np.setdiff1d(np.arange(5), index)
+    np.testing.assert_array_equal(x.grad[unused], 0.0)
+    assert isinstance(ad.take_rows(x.data, index), np.ndarray)  # untracked: no node
+
+
 def brute_windows(x, size, stride):
     """Each window of a channels-last batch, flattened, one index at a time."""
     n, c = x.shape[0], x.shape[-1]
@@ -273,12 +293,40 @@ def test_same_input_twice_accumulates_both_vjps():
 
 
 def test_backward_twice_resets_grads():
+    """A second pass over a freshly built loss replaces the leaf grads of
+    the first instead of adding to them."""
     x = parameter(np.array([1.0, 2.0]))
     loss = ad.sum(ad.mul(x, x))
     ad.backward(loss)
     first = x.grad.copy()
     loss2 = ad.sum(ad.mul(x, x))
     ad.backward(loss2)
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    x = parameter(np.array([1.0, -2.0]))
+    y = ad.mul(x, 3.0)
+    loss = ad.sum(ad.mul(y, y))
+    ad.backward(loss)
+    np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+    for node in (y, loss):
+        assert node.grad is None and node._inputs is None
+    assert x._inputs == ()
+
+
+def test_walking_a_walked_graph_raises():
+    x = parameter(np.array([1.0, 2.0]))
+    y = ad.mul(x, x)
+    loss, other = ad.sum(y), ad.sum(ad.mul(y, 2.0))  # both built before the walk
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ValueError, match="already walked"):
+        ad.backward(loss)
+    with pytest.raises(ValueError, match="already walked"):
+        ad.backward(other)  # reaches the released y
+    with pytest.raises(ValueError, match="already walked"):
+        ad.add(y, x)  # would otherwise read y as a constant
     np.testing.assert_array_equal(x.grad, first)
 
 

@@ -194,6 +194,80 @@ def test_tracked_and_detached_forward_agree():
     np.testing.assert_array_equal(ad.value(tracked["lengths"]), detached["lengths"])
 
 
+# stage 1 once per distinct pixel of a batch -------------------------------
+
+# Overlapping neighbours, a centre three times, and corner and edge centres
+# whose reflect padding repeats pixels within one window.
+OVERLAPPING = [(3, 3), (3, 4), (4, 3), (3, 3), (0, 0), (0, 1), (7, 7), (3, 3)]
+
+
+def per_row_forward(mdl, patches):
+    """``forward`` without the dedup: ``pixel_features`` on every window pixel."""
+    N, s, _, B = patches.shape
+    feats = spectral.pixel_features(patches.reshape(N * s * s, B), mdl)
+    fmap = ad.reshape(feats, (N, s, s, ad.shape_of(feats)[-1]))
+    o = capsule.conv2d_batch(fmap, spectral.conv_kernel(mdl), mdl.params["caps.conv.b"],
+                             mdl.config.stage2.conv_stride)
+    return model_mod._capsules(mdl, o)
+
+
+def count_pixel_rows(monkeypatch):
+    """Row counts of every ``spectral.pixel_features`` call from here on."""
+    rows, real = [], spectral.pixel_features
+    monkeypatch.setattr(spectral, "pixel_features",
+                        lambda pixels, mdl: rows.append(len(pixels)) or real(pixels, mdl))
+    return rows
+
+
+def test_forward_batch_equals_each_patch_alone(monkeypatch):
+    cube, labels, cfg, mdl = tiny_setup()
+    patches = data.extract_patch_batch(cube, OVERLAPPING, 5)
+    plain = mdl.detached()
+    rows = count_pixel_rows(monkeypatch)
+    got = model_mod.forward(plain, patches)
+    assert rows == [len(np.unique(patches.reshape(-1, patches.shape[-1]), axis=0))]
+    assert rows[0] < len(OVERLAPPING) * 25 // 2
+    for i in range(len(patches)):
+        alone = model_mod.forward(plain, patches[i : i + 1])
+        np.testing.assert_allclose(got["lengths"][i], alone["lengths"][0], rtol=1e-12, atol=0)
+        for key in ("poses", "v"):
+            assert rel_gap(got[key][i], alone[key][0]) < 1e-12, key
+
+
+def test_forward_gradient_equals_per_row_reference(monkeypatch):
+    for cube, labels, cfg, mdl in (tiny_setup(), tiny_setup(n_class=3, tri_cap=25)):
+        patches = data.extract_patch_batch(cube, OVERLAPPING, 5)
+        targets = data.pixels_at(labels.labels, OVERLAPPING)
+        shapes = [t.data.shape for t in mdl.params.values()]
+
+        def loss_fn():
+            return training.batch_loss(mdl, patches, targets, cfg.training)
+
+        _, deduped = training.compute_gradients(loss_fn, mdl.params.values())
+        with monkeypatch.context() as mp:
+            mp.setattr(model_mod, "forward", per_row_forward)
+            _, per_row = training.compute_gradients(loss_fn, mdl.params.values())
+        for name, got, want in zip(mdl.params, model_mod.views(deduped, shapes),
+                                   model_mod.views(per_row, shapes)):
+            assert np.any(want != 0.0), name
+            assert rel_gap(got, want) < 1e-12, name
+
+
+def test_rows_differing_in_one_band_are_not_merged(monkeypatch):
+    cube, labels, cfg, mdl = tiny_setup()
+    patch = data.extract_patch_batch(cube, [(3, 3)], 5)[0]  # 25 distinct pixels
+    patches = np.stack([patch, patch, patch])
+    patches[1, 2, 2, 4] = np.nextafter(patches[1, 2, 2, 4], 1.0)  # one ulp in one band
+    patches[2, 2, 2, 4] += 0.5
+    plain = mdl.detached()
+    rows = count_pixel_rows(monkeypatch)
+    got = model_mod.forward(plain, patches)
+    assert rows[0] == 27
+    alone = model_mod.forward(plain, patches[2:])
+    np.testing.assert_allclose(got["lengths"][2], alone["lengths"][0], rtol=1e-12, atol=0)
+    assert np.all(got["lengths"][2] != got["lengths"][0])
+
+
 # triangular index folded into the stage-2 kernel ----------------------------
 
 
