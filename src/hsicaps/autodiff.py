@@ -19,6 +19,9 @@ have run. An input passed twice receives both VJPs.
 Every linear map runs through one contraction, ``matmul``, which folds
 the leading axes of its left operand into one 2-D product; ``conv`` is
 that product over ``unfold``'s strided views (no op writes its inputs).
+``window_sum`` adds up per-row products picked by integer ids, so a
+convolution over gathered rows can multiply each distinct row once and
+never copy its windows.
 
 Hinge-style kinks (relu, clip) use the zero-side subgradient.
 """
@@ -233,25 +236,6 @@ def concat(xs, axis):
                  *((x, part(lo, hi)) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])))
 
 
-def take_rows(x, index):
-    """``x[index]`` along the first axis, for a non-negative integer ``index``.
-
-    The VJP sums the gradient rows of repeated indices (a stable sort, then
-    ``np.add.reduceat``); rows that no index picks get zero.
-    """
-    xv = _val(x)
-
-    def vjp(g):
-        order = np.argsort(index, kind="stable")
-        picked = index[order]
-        starts = np.flatnonzero(np.diff(picked, prepend=-1))
-        gx = np.zeros_like(xv)
-        gx[picked[starts]] = np.add.reduceat(g[order], starts, axis=0)
-        return gx
-
-    return _node(xv[index], (x, vjp))
-
-
 # sliding windows (valid convolution support) --------------------------
 
 
@@ -262,9 +246,13 @@ def unfold(x, size, stride):
     ``(k, k)`` for (N, H, W, C) -> (N, H1, W1, k*k*C): a read-only strided
     view of ``x`` where the window and channel axes merge without a copy.
     ``as_strided`` builds it; ``sliding_window_view``'s checks slow tiny arrays.
+    An integer ``x`` keeps its dtype, so an id grid unfolds into window ids.
     """
-    xv = _val(x)
+    xv = np.asarray(value(x))
     (n, *dims, c), (s0, *steps, sc) = xv.shape, xv.strides
+    if any(d < k for d, k in zip(dims, size)):
+        raise DataError(f"spatial extent {'x'.join(map(str, dims))} smaller than kernel "
+                        f"{'x'.join(map(str, size))}")
     outs = tuple((d - k) // stride + 1 for d, k in zip(dims, size))
     windows = as_strided(xv, (n, *outs, *size, c), (s0, *(stride * s for s in steps), *steps, sc),
                          writeable=False)
@@ -287,14 +275,32 @@ def conv(x, weights, stride):
     ``matmul`` of ``unfold``'s windows with the weights as a (prod(size) * C, J)
     matrix. One spatial axis is a 1-D conv, two a 2-D conv.
     """
-    _, *dims, C = shape_of(x)
+    C = shape_of(x)[-1]
     J, *size, Cw = shape_of(weights)
     if Cw != C:
         raise DataError(f"conv channel mismatch: input {C}, weights {Cw}")
-    if any(d < k for d, k in zip(dims, size)):
-        raise DataError(f"spatial extent {'x'.join(map(str, dims))} smaller than kernel "
-                        f"{'x'.join(map(str, size))}")
     return matmul(unfold(x, tuple(size), stride), transpose(reshape(weights, (J, -1))))
+
+
+def window_sum(y, windows):
+    """``sum_t y[windows[..., t], t]``: (U, T, J) rows and (..., T) integer
+    row ids give (..., J).
+
+    Each output adds up one tap product per tap t, picked from its row by id,
+    so no window of ``y`` is copied beyond the (..., T, J) picks. The VJP
+    scatters the gradient back with one ``np.bincount`` over (row, tap,
+    channel) ids: entries that no id picks get zero.
+    """
+    yv = _val(y)
+    U, T, J = yv.shape
+    picks = windows * T + np.arange(T)  # rows of yv as (U * T, J)
+
+    def vjp(g):
+        ids = (picks[..., None] * J + np.arange(J)).reshape(-1)
+        weights = np.broadcast_to(np.expand_dims(g, -2), picks.shape + (J,)).reshape(-1)
+        return np.bincount(ids, weights, minlength=yv.size).reshape(yv.shape)
+
+    return _node(yv.reshape(U * T, J)[picks].sum(axis=-2), (y, vjp))
 
 
 # softmax and norms ----------------------------------------------------

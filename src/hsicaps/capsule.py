@@ -1,7 +1,9 @@
 """Spatial convolution, capsule encoding and dynamic routing.
 
-A batch of enhanced feature maps passes through the stage-2 relu
-convolution (``conv2d_batch``), a bank of linear convolutional capsules
+A batch of enhanced feature maps, given as distinct per-pixel feature
+rows and a grid of row ids, passes through the stage-2 relu convolution
+(``conv2d_batch``, which multiplies each row by the kernel taps once and
+sums each window's products by id), a bank of linear convolutional capsules
 (``ad.conv``) whose channel groups form pose vectors (squashed so
 lengths live in [0, 1)), and a class-capsule layer whose coupling
 coefficients are refined by agreement routing. Every routine is batched
@@ -18,10 +20,21 @@ from . import autodiff as ad
 from .errors import DataError
 
 
-def conv2d_batch(x, weights, bias, stride):
-    """The stage-2 relu conv: (N, H, W, C) -> (N, H1, W1, J) for weights
-    (J, k, k, C) and bias (J,)."""
-    return ad.relu(ad.add(ad.conv(x, weights, stride), bias))
+def conv2d_batch(pixels, index, weights, bias, stride):
+    """The stage-2 relu conv of the (N, H, W, C) map ``pixels[index]``:
+    (N, H1, W1, J) for rows ``pixels`` (U, C), an integer (N, H, W) ``index``
+    into them, weights (J, k, k, C) and bias (J,).
+
+    The conv is linear per pixel before its spatial sum, so each row is
+    multiplied by the k*k taps once, (U, C) @ (C, k*k*J), and each output
+    position adds up its window's k*k tap products, picked by the window
+    ids of ``index`` (``ad.window_sum``). No C-wide window is copied.
+    """
+    J, k, _, C = ad.shape_of(weights)
+    taps = ad.reshape(ad.transpose(weights, (3, 1, 2, 0)), (C, k * k * J))
+    products = ad.reshape(ad.matmul(pixels, taps), (-1, k * k, J))
+    windows = ad.unfold(index[..., None], (k, k), stride)
+    return ad.relu(ad.add(ad.window_sum(products, windows), bias))
 
 
 def squash(u, axis=-1):

@@ -17,7 +17,8 @@ numpy. Inference runs the pixel features and the spatial convolution
 fully convolutionally over row tiles of a whole scene (``scene_forward``),
 so each pixel's spectrum is processed once, and then feeds every centre's
 conv window through the same capsule block. ``forward`` likewise runs the
-pixel features once per distinct pixel of its batch.
+pixel features, and the stage-2 conv's tap products, once per distinct
+pixel of its batch.
 """
 
 import copy
@@ -32,8 +33,9 @@ from . import capsule, data, spectral
 from .errors import DataError, NumericError
 
 # Centre rows per tile of ``scene_forward``. Its peak memory follows the
-# tile: the stage-2 unfold holds about (tile + patch) * (width + patch)
-# * conv_kernel^2 * (b + C(b,2)) doubles, the folded conv's input width.
+# tile: about (tile + patch) * (width + patch) * (b + C(b,2) + k^2 * J)
+# doubles, each pixel's stage-2 conv input and its k x k tap products over
+# J = conv_filters channels.
 SCENE_TILE_ROWS = 8
 # Patches per ``forward`` call in predict_lengths, and centres per
 # ``_capsules`` call in scene_forward.
@@ -184,9 +186,11 @@ def forward(model: Model, patches: np.ndarray):
 
     Stage 1 is per pixel, so it runs once per distinct spectrum of the
     batch: rows are deduped by their bytes (overlapping windows and reflect
-    padding repeat pixels), and ``ad.take_rows`` gathers the features back
-    into the (N, s, s, F) map. Equal bytes give equal features, so the map
-    is the one a per-row pass would give.
+    padding repeat pixels). The stage-2 conv is linear per pixel before its
+    spatial sum, so it too multiplies each distinct row's features by its
+    taps once, and reads the (N, s, s) grid of row ids to sum each window.
+    Equal bytes give equal features, so the result is the one a per-row
+    pass would give, up to rounding.
 
     Args:
         model: tracked or detached model.
@@ -206,10 +210,9 @@ def forward(model: Model, patches: np.ndarray):
     rows = np.ascontiguousarray(patches).reshape(N * s1 * s2, B)
     keys = rows.view(np.dtype((np.void, rows.itemsize * B))).reshape(-1)
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    feats = ad.take_rows(spectral.pixel_features(rows[first], model), inv)
-    fmap = ad.reshape(feats, (N, s1, s2, ad.shape_of(feats)[-1]))
-    o = capsule.conv2d_batch(fmap, spectral.conv_kernel(model), p["caps.conv.b"],
-                             cfg.stage2.conv_stride)
+    o = capsule.conv2d_batch(spectral.pixel_features(rows[first], model),
+                             inv.reshape(N, s1, s2), spectral.conv_kernel(model),
+                             p["caps.conv.b"], cfg.stage2.conv_stride)
     return _capsules(model, o)
 
 
@@ -232,8 +235,9 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
     The cube is reflect-padded once, as ``data.extract_patch_batch`` does,
     so every patch is a window of the same array. Per tile of ``tile_rows``
     centre rows (plus a patch // 2 halo each side; tiles without a centre
-    are skipped) the spectral head, enhancement and stride-1 stage-2 conv
-    run once per pixel; the folded stage-2 kernel is built once per call.
+    are skipped) the spectral head, enhancement and the stage-2 conv's tap
+    products run once per pixel, and the stride-1 conv sums them over the
+    tile's id grid; the folded stage-2 kernel is built once per call.
     Each centre's h1 x h1 window of that map, at the conv stride, is the
     stage-2 output of its patch, and the windows go through ``forward``'s
     capsule block. Rows follow ``coords``, duplicates included.
@@ -254,7 +258,8 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
         rows = padded[r0 : r0 + tile_rows + size - 1]
         R, W, B = rows.shape
         feats = spectral.pixel_features(rows.reshape(R * W, B), mdl)
-        o = capsule.conv2d_batch(feats.reshape(1, R, W, -1), kernel, p["caps.conv.b"], 1)[0]
+        o = capsule.conv2d_batch(feats, np.arange(R * W).reshape(1, R, W), kernel,
+                                 p["caps.conv.b"], 1)[0]
         windows = sliding_window_view(o, (width, width), axis=(0, 1))[..., ::stride, ::stride]
         o_centres = windows[rc[ids, 0] - r0, rc[ids, 1]].transpose(0, 2, 3, 1)
         for lo in range(0, len(ids), TAIL_BATCH):

@@ -46,6 +46,7 @@ def test_numpy_fallback_returns_arrays():
         ad.unfold(np.ones((1, 3, 3, 2)), (2, 2), 1), ad.softmax(x, axis=1),
         ad.norm(x, axis=1), ad.matmul(np.ones((2, 2, 3)), x.T),
         ad.conv(np.ones((1, 3, 3, 2)), np.ones((4, 2, 2, 2)), 1),
+        ad.window_sum(np.ones((3, 2, 2)), np.zeros((4, 2), dtype=np.intp)),
     ]
     for out in outs:
         assert isinstance(out, np.ndarray)
@@ -175,24 +176,34 @@ def test_repeated_selection_accumulates():
     np.testing.assert_array_equal(x.grad, [[0.0, 3.0, 0.0, 0.0]])
 
 
+def brute_window_sum(y, windows):
+    """``sum_t y[windows[..., t], t]``, one output and one tap at a time."""
+    out = np.zeros(windows.shape[:-1] + y.shape[2:])
+    for idx in np.ndindex(*windows.shape[:-1]):
+        for t in range(windows.shape[-1]):
+            out[idx] += y[windows[idx + (t,)], t]
+    return out
+
+
 @pytest.mark.parametrize("index", [
     [2, 0, 2, 2, 1, 0],  # every row, some repeated
     [3, 3, 0, 3],  # rows 1, 2 and 4 unreferenced
     [],
 ])
-def test_take_rows_vjp_equals_add_at(rng, index):
+def test_window_sum_and_vjp_equal_loops_and_add_at(rng, index):
     index = np.asarray(index, dtype=np.intp)
-    x = parameter(rng.normal(size=(5, 2, 3)))
-    g = rng.normal(size=(len(index), 2, 3))
-    out = ad.take_rows(x, index)
-    np.testing.assert_array_equal(out.data, x.data[index])
+    windows = np.stack([index, np.roll(index, 1)], axis=-1)  # T = 2 taps per output
+    y = parameter(rng.normal(size=(5, 2, 3)))
+    g = rng.normal(size=(len(index), 3))
+    out = ad.window_sum(y, windows)
+    np.testing.assert_allclose(out.data, brute_window_sum(y.data, windows), rtol=1e-15, atol=0)
     ad.backward(ad.sum(ad.mul(out, g)))
-    want = np.zeros_like(x.data)
-    np.add.at(want, index, g)
-    np.testing.assert_allclose(x.grad, want, rtol=1e-13, atol=1e-15)  # sums reassociate
+    want = np.zeros_like(y.data)
+    np.add.at(want, (windows, np.arange(2)), g[:, None, :])
+    np.testing.assert_allclose(y.grad, want, rtol=1e-13, atol=1e-15)  # sums reassociate
     unused = np.setdiff1d(np.arange(5), index)
-    np.testing.assert_array_equal(x.grad[unused], 0.0)
-    assert isinstance(ad.take_rows(x.data, index), np.ndarray)  # untracked: no node
+    np.testing.assert_array_equal(y.grad[unused], 0.0)
+    assert isinstance(ad.window_sum(y.data, windows), np.ndarray)  # untracked: no node
 
 
 def brute_windows(x, size, stride):
@@ -208,13 +219,17 @@ def brute_windows(x, size, stride):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_unfold_matches_brute_force_windows(rng, stride):
-    # scene_forward hands the capsule block transposed centre windows, and
-    # every slice head's conv1 unfolds a one-channel band axis
+    # scene_forward hands the capsule block transposed centre windows, every
+    # slice head's conv1 unfolds a one-channel band axis, and the stage-2
+    # conv unfolds an integer grid of row ids into window ids
     cases = [(rng.normal(size=(2, 9, 3)), (4,)), (rng.normal(size=(2, 6, 7, 2)), (3, 3)),
              (rng.normal(size=(3, 2, 7, 6)).transpose(0, 2, 3, 1), (3, 3)),
+             (rng.integers(0, 9, size=(2, 5, 6, 1)), (3, 3)),
              (rng.normal(size=(4, 11, 1)), (5,))]
     for x, size in cases:
-        np.testing.assert_array_equal(ad.unfold(x, size, stride), brute_windows(x, size, stride))
+        out = ad.unfold(x, size, stride)
+        assert out.dtype == x.dtype
+        np.testing.assert_array_equal(out, brute_windows(x, size, stride))
     bands = cases[-1][0]
     out = ad.unfold(bands, (5,), stride)
     assert np.shares_memory(out, bands) and not out.flags.writeable

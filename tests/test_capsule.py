@@ -9,10 +9,10 @@ from hsicaps.errors import DataError
 
 
 def conv2d(fmap, weights, bias=None, stride=1):
-    """Batched relu conv2d on a single (H, W, C) map, i.e. an N = 1 batch."""
+    """im2col relu conv2d on a single (H, W, C) map, i.e. an N = 1 batch."""
     w = np.asarray(weights, dtype=np.float64)
     b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
-    return capsule.conv2d_batch(fmap[None], w, b, stride)[0]
+    return ad.relu(ad.add(ad.conv(fmap[None], w, stride), b))[0]
 
 
 def brute_conv2d(fmap, weights, bias, stride):
@@ -64,6 +64,32 @@ def test_conv2d_matches_brute_force(rng):
 def test_conv2d_too_small_error():
     with pytest.raises(DataError, match="smaller than kernel"):
         conv2d(np.zeros((2, 2, 1)), np.ones((1, 3, 3, 1)))
+    with pytest.raises(DataError, match="smaller than kernel"):
+        capsule.conv2d_batch(np.zeros((4, 1)), np.zeros((1, 2, 2), dtype=np.intp),
+                             np.ones((1, 3, 3, 1)), np.zeros(1), 1)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_batch_equals_conv_on_gathered_map(rng, stride):
+    # row 5 repeats within and across the two maps; row 6 is unreferenced
+    index = rng.integers(0, 6, size=(2, 6, 5))
+    index[0, :, 0] = index[1, 2] = 5
+    leaves = [ad.Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((7, 4), (3, 3, 3, 4), (3,))]  # pixels, kernel, bias
+    oracle = [ad.Tensor(t.data.copy(), requires_grad=True) for t in leaves]
+    got = capsule.conv2d_batch(leaves[0], index, leaves[1], leaves[2], stride)
+    pixels, kernel, bias = oracle
+    fmap = ad.reshape(ad.matmul(np.eye(7)[index], pixels), index.shape + (4,))
+    want = ad.relu(ad.add(ad.conv(fmap, kernel, stride), bias))
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-14)
+    assert np.count_nonzero(want.data) and np.count_nonzero(want.data == 0.0)  # both relu sides
+    g = rng.normal(size=got.data.shape)
+    for out in (got, want):
+        ad.backward(ad.sum(ad.mul(out, g)))
+    for mine, ref in zip(leaves, oracle):
+        assert np.any(ref.grad != 0.0)
+        np.testing.assert_allclose(mine.grad, ref.grad, rtol=1e-12, atol=1e-13)
+    np.testing.assert_array_equal(leaves[0].grad[6], 0.0)
 
 
 # squash -------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from hsicaps import autodiff as ad
-from hsicaps import capsule, data, model as model_mod, spectral, training
+from hsicaps import data, model as model_mod, spectral, training
 from hsicaps.config import RunConfig
 
 
@@ -206,8 +206,8 @@ def per_row_forward(mdl, patches):
     N, s, _, B = patches.shape
     feats = spectral.pixel_features(patches.reshape(N * s * s, B), mdl)
     fmap = ad.reshape(feats, (N, s, s, ad.shape_of(feats)[-1]))
-    o = capsule.conv2d_batch(fmap, spectral.conv_kernel(mdl), mdl.params["caps.conv.b"],
-                             mdl.config.stage2.conv_stride)
+    o = ad.relu(ad.add(ad.conv(fmap, spectral.conv_kernel(mdl), mdl.config.stage2.conv_stride),
+                       mdl.params["caps.conv.b"]))
     return model_mod._capsules(mdl, o)
 
 
@@ -253,6 +253,32 @@ def test_forward_gradient_equals_per_row_reference(monkeypatch):
             assert rel_gap(got, want) < 1e-12, name
 
 
+def test_stage2_conv_multiplies_distinct_rows_and_copies_no_window(monkeypatch):
+    for cube, labels, cfg, mdl in (tiny_setup(), tiny_setup(n_class=3, tri_cap=25)):
+        patches = data.extract_patch_batch(cube, OVERLAPPING, 5)
+        width = spectral.conv_kernel(mdl.detached()).shape[-1]  # stage-2 input, b + C(b,2)
+        distinct = len(np.unique(patches.reshape(-1, patches.shape[-1]), axis=0))
+        unfolded, left_rows = [], []
+        real_unfold, real_matmul = ad.unfold, ad.matmul
+
+        def unfold(x, size, stride):
+            unfolded.append(ad.shape_of(x)[-1])
+            return real_unfold(x, size, stride)
+
+        def matmul(a, b):
+            if ad.shape_of(a)[-1] == width:
+                left_rows.append(math.prod(ad.shape_of(a)[:-1]))
+            return real_matmul(a, b)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ad, "unfold", unfold)
+            mp.setattr(ad, "matmul", matmul)
+            for m in (mdl, mdl.detached()):
+                model_mod.forward(m, patches)
+        assert unfolded and width not in unfolded
+        assert left_rows == [distinct, distinct]  # one tap matmul per forward
+
+
 def test_rows_differing_in_one_band_are_not_merged(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
     patch = data.extract_patch_batch(cube, [(3, 3)], 5)[0]  # 25 distinct pixels
@@ -280,7 +306,7 @@ def unfolded_forward(mdl, patches):
     feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos,
                                        cfg.training.enhancement_on)
     fmap = ad.reshape(feats, (N, s, s, mdl.f_n))
-    o = capsule.conv2d_batch(fmap, p["caps.conv.w"], p["caps.conv.b"], cfg.stage2.conv_stride)
+    o = ad.relu(ad.add(ad.conv(fmap, p["caps.conv.w"], cfg.stage2.conv_stride), p["caps.conv.b"]))
     return model_mod._capsules(mdl, o)
 
 
