@@ -31,18 +31,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars and NaN for JSON output."""
+    """Recursively replace NaN with None (JSON null) in a report of
+    Python scalars, lists and dicts."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if math.isnan(f) else f
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     return obj
 
 

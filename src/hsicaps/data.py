@@ -109,10 +109,6 @@ class BandSliceSet:
                 raise DataError(f"slice {name!r} overlaps its predecessor")
             prev_hi = hi
 
-    @property
-    def names(self):
-        return tuple(s[0] for s in self.slices)
-
     def non_empty(self):
         """(name, band index tuple) for every slice holding >= 1 band."""
         if self.band_indices is None:
@@ -141,6 +137,12 @@ class SampleSplit:
     train_fraction: float
 
     def __post_init__(self):
+        for name, pixels in (("train", self.train_indices), ("test", self.test_indices)):
+            seen = set()
+            for rc in pixels:
+                if rc in seen:
+                    raise DataError(f"pixel {rc} is listed twice in the {name} list")
+                seen.add(rc)
         overlap = set(self.train_indices) & set(self.test_indices)
         if overlap:
             raise DataError(f"train/test overlap on {len(overlap)} pixels")
@@ -162,13 +164,12 @@ def _header_bytes(cube: HsiCube, data_file: str) -> bytes:
     return (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
 
 
-def write_cube(cube: HsiCube, header_path: str, data_path: str = None) -> None:
-    """Write header JSON plus the raw float32 BIP file."""
-    if data_path is None:
-        data_path = os.path.splitext(header_path)[0] + ".raw"
-    rel = os.path.relpath(data_path, os.path.dirname(header_path) or ".")
+def write_cube(cube: HsiCube, header_path: str) -> None:
+    """Write header JSON plus the raw float32 BIP file beside it, named
+    after the header with a ``.raw`` suffix (``cube.json``, ``cube.raw``)."""
+    data_path = os.path.splitext(header_path)[0] + ".raw"
     with open(header_path, "wb") as fh:
-        fh.write(_header_bytes(cube, rel))
+        fh.write(_header_bytes(cube, os.path.basename(data_path)))
     raw = np.ascontiguousarray(cube.data, dtype="<f4")
     with open(data_path, "wb") as fh:
         fh.write(raw.tobytes())
@@ -271,11 +272,9 @@ def normalize_cube(cube: HsiCube) -> HsiCube:
                    np.ascontiguousarray(out))
 
 
-def segment_bands(cube: HsiCube, spec: BandSliceSet = None) -> BandSliceSet:
+def segment_bands(cube: HsiCube, spec: BandSliceSet) -> BandSliceSet:
     """Assign each cube band to the slice whose interval contains its
     wavelength (lower-inclusive, upper-exclusive)."""
-    if spec is None:
-        spec = default_band_slices()
     assigned = []
     for _, lo, hi in spec.slices:
         idx = tuple(

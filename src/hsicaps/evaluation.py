@@ -10,7 +10,6 @@ feature column at once (post-hoc feature attribution), and the report
 dicts that ``evaluate`` and ``interpret`` write as JSON.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion(truth, pred, n_class: int = None) -> ConfusionMatrix:
+def confusion(truth, pred, n_class: int) -> ConfusionMatrix:
     """Count matrix over labeled pixels (truth 0 entries are skipped)."""
     t = np.asarray(truth, dtype=np.int64).reshape(-1)
     p = np.asarray(pred, dtype=np.int64).reshape(-1)
@@ -47,10 +46,6 @@ def confusion(truth, pred, n_class: int = None) -> ConfusionMatrix:
         raise DataError(f"length mismatch: truth {t.size} vs pred {p.size}")
     keep = t > 0
     t, p = t[keep], p[keep]
-    if n_class is None:
-        n_class = int(max(t.max(initial=0), p.max(initial=0)))
-    if n_class < 1:
-        raise DataError("no labeled pixels")
     if (t > n_class).any() or (p < 1).any() or (p > n_class).any():
         raise DataError(f"labels outside [1, {n_class}]")
     counts = np.zeros((n_class, n_class), dtype=np.int64)
@@ -134,12 +129,11 @@ def mcnemar_from_counts(f12: int, f21: int):
     return float(chi2), band
 
 
-def shannon_entropy(class_features, base: str = "e") -> float:
-    """Entropy of the normalized mean absolute value per feature.
+def shannon_entropy(class_features) -> float:
+    """Entropy, in nats, of the normalized mean absolute value per feature.
 
     ``class_features`` is (samples, M) for one class. All-zero
-    features fall back to the uniform distribution. ``base`` is
-    "e" (natural log) or "2".
+    features fall back to the uniform distribution.
     """
     feats = np.atleast_2d(np.asarray(class_features, dtype=np.float64))
     if feats.size == 0:
@@ -148,12 +142,7 @@ def shannon_entropy(class_features, base: str = "e") -> float:
     total = p.sum()
     p = np.full_like(p, 1.0 / p.size) if total == 0 else p / total
     nz = p[p > 0]
-    e = float(-(nz * np.log(nz)).sum())
-    if base == "2":
-        e /= math.log(2.0)
-    elif base != "e":
-        raise DataError(f"unsupported entropy base {base!r}")
-    return e
+    return float(-(nz * np.log(nz)).sum())
 
 
 def entropy_per_class(values, labels) -> dict:
@@ -225,13 +214,15 @@ def _builtin_indices():
 
 BUILTIN_INDICES = _builtin_indices()
 
+# A required wavelength is read from the nearest band within this distance.
+INDEX_TOLERANCE_NM = 10.0
 
-def vegetation_index(spectrum, wavelengths, index: VegetationIndexDef,
-                     tolerance_nm: float = 10.0):
+
+def vegetation_index(spectrum, wavelengths, index: VegetationIndexDef):
     """Evaluate an index on (..., B) spectra using nearest-band lookup.
 
     One spectrum gives a float; a stack gives an array of its leading
-    shape. Every required wavelength must lie within ``tolerance_nm`` of
+    shape. Every required wavelength must lie within ``INDEX_TOLERANCE_NM`` of
     some band center, otherwise a DataError names the index and wavelength.
     """
     spec = np.asarray(spectrum, dtype=np.float64)
@@ -241,7 +232,7 @@ def vegetation_index(spectrum, wavelengths, index: VegetationIndexDef,
     refl = {}
     for need in index.wavelengths:
         pos = int(np.argmin(np.abs(wl - need)))
-        if abs(wl[pos] - need) > tolerance_nm:
+        if abs(wl[pos] - need) > INDEX_TOLERANCE_NM:
             raise DataError(
                 f"wavelength unavailable for {index.name}: {need} nm "
                 f"(nearest band {wl[pos]} nm)"
@@ -253,27 +244,27 @@ def vegetation_index(spectrum, wavelengths, index: VegetationIndexDef,
     return float(out) if spec.ndim == 1 else out
 
 
-def available_indices(wavelengths, tolerance_nm: float = 10.0):
+def available_indices(wavelengths):
     """Built-in indices whose wavelengths the sensor covers."""
     wl = np.asarray(wavelengths, dtype=np.float64)
     out = []
     for idx in BUILTIN_INDICES:
-        if all(np.abs(wl - need).min() <= tolerance_nm for need in idx.wavelengths):
+        if all(np.abs(wl - need).min() <= INDEX_TOLERANCE_NM for need in idx.wavelengths):
             out.append(idx)
     return out
 
 
 def r_squared(x, y):
-    """Squared Pearson correlation of ``y`` with ``x``, or with each column of ``x``.
+    """Squared Pearson correlation of ``y`` with each column of an (n, F) ``x``.
 
-    A 1-D ``x`` gives a float, and zero variance in either sample raises
-    DataError. An (n, F) ``x`` gives an (F,) array that is NaN wherever a
-    column of ``x``, or ``y``, has zero variance. Either way the samples
-    need equal lengths and at least 3 values.
+    Returns an (F,) array that is NaN wherever a column of ``x``, or
+    ``y``, has zero variance. The samples need equal lengths and at
+    least 3 values.
     """
-    a = np.asarray(x, dtype=np.float64)
+    cols = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64).reshape(-1)
-    cols = a if a.ndim == 2 else a.reshape(-1, 1)
+    if cols.ndim != 2:
+        raise DataError(f"r_squared needs an (n, F) x, got shape {cols.shape}")
     if cols.shape[0] != b.size:
         raise DataError("r_squared inputs must have equal lengths")
     if b.size < 3:
@@ -285,12 +276,7 @@ def r_squared(x, y):
     vb = float(np.dot(db, db))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (db @ da) / np.sqrt(va * vb)
-    r2 = np.where((va == 0) | (vb == 0), np.nan, np.minimum(r * r, 1.0))
-    if a.ndim == 2:
-        return r2
-    if np.isnan(r2[0]):
-        raise DataError("zero variance")
-    return float(r2[0])
+    return np.where((va == 0) | (vb == 0), np.nan, np.minimum(r * r, 1.0))
 
 
 # report documents -----------------------------------------------------------

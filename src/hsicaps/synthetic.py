@@ -6,15 +6,18 @@ import numpy as np
 
 from . import data
 
+ILLUMINATION = 0.45
+NOISE = 0.05
+
 
 def make_separable_cube(height: int = 12, width: int = 12, bands: int = 20,
-                        n_class: int = 3, seed: int = 0, noise: float = 0.05,
-                        illumination: float = 0.45):
+                        n_class: int = 3, seed: int = 0):
     """Cube + labels with Gaussian-bump class spectra on spatial stripes.
 
     Class k's reflectance is a smooth bump centered at a class-specific
     wavelength, scaled by a per-pixel brightness gain (uniform in
-    1 +/- ``illumination``) plus i.i.d. noise. Classes therefore differ
+    1 +/- ``ILLUMINATION``) plus i.i.d. Gaussian noise of standard
+    deviation ``NOISE``. Classes therefore differ
     in spectral shape while brightness varies within each class, yet
     they stay separable by a nearest-centroid rule. Labels tile the
     scene in vertical stripes, one class per stripe, every pixel
@@ -31,9 +34,9 @@ def make_separable_cube(height: int = 12, width: int = 12, bands: int = 20,
     stripe = max(1, width // n_class)
     for c in range(width):
         labels[:, c] = min(c // stripe, n_class - 1) + 1
-    gain = rng.uniform(1.0 - illumination, 1.0 + illumination, size=(height, width, 1))
+    gain = rng.uniform(1.0 - ILLUMINATION, 1.0 + ILLUMINATION, size=(height, width, 1))
     cube_data = (signatures[labels - 1] * gain
-                 + rng.normal(0.0, noise, size=(height, width, bands)))
+                 + rng.normal(0.0, NOISE, size=(height, width, bands)))
     cube_data = np.clip(cube_data, 0.01, 0.99).astype(np.float32)
     cube = data.HsiCube(height, width, bands, tuple(wavelengths),
                         np.ascontiguousarray(cube_data))

@@ -30,6 +30,14 @@ CHECKPOINT_FORMAT = "hsicaps-checkpoint-v1"
 MANIFEST_KEYS = ("config", "n_class", "wavelengths_nm", "slices", "slice_band_indices",
                  "tri_combos", "params")
 
+# gradcheck compares GRADCHECK_SAMPLES coordinates of theta, drawn with
+# GRADCHECK_SEED, against central differences of step GRADCHECK_H and
+# passes below GRADCHECK_TOLERANCE relative error.
+GRADCHECK_SAMPLES = 200
+GRADCHECK_H = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_SEED = 7
+
 
 # losses ---------------------------------------------------------------
 
@@ -117,17 +125,17 @@ def compute_gradients(loss_fn, params):
     return lv, grad
 
 
-def finite_difference_gradient(loss_fn, theta, i, h: float = 1e-5):
+def finite_difference_gradient(loss_fn, theta, i):
     """Central-difference derivative of ``loss_fn()`` w.r.t. ``theta[i]``."""
     orig = theta[i]
     try:
-        theta[i] = orig + h
+        theta[i] = orig + GRADCHECK_H
         hi = float(ad.value(loss_fn()))
-        theta[i] = orig - h
+        theta[i] = orig - GRADCHECK_H
         lo = float(ad.value(loss_fn()))
     finally:
         theta[i] = orig
-    return (hi - lo) / (2.0 * h)
+    return (hi - lo) / (2.0 * GRADCHECK_H)
 
 
 # Adam -----------------------------------------------------------------
@@ -434,17 +442,16 @@ def _rel_error(a: float, b: float) -> float:
     return abs(a - b) / max(scale, 1e-6)
 
 
-def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
-              tolerance: float = 1e-4, seed: int = 7) -> GradcheckReport:
+def gradcheck(config: RunConfig = None) -> GradcheckReport:
     """Compare reverse-mode gradients of the full loss with central
     finite differences over sampled parameter coordinates."""
     started = time.perf_counter()
     config = config or gradcheck_config()
-    cube, labels = _gradcheck_dataset(seed)
-    split = data.split_samples(labels, 0.5, seed)
+    cube, labels = _gradcheck_dataset(GRADCHECK_SEED)
+    split = data.split_samples(labels, 0.5, GRADCHECK_SEED)
     cube = data.normalize_cube(cube)
     mdl = build_model(cube, labels, split, config)
-    _condition_check_point(mdl, seed)
+    _condition_check_point(mdl, GRADCHECK_SEED)
     coords = split.train_indices[:4]
     patches = data.extract_patch_batch(cube, coords, config.training.patch_size)
     targets = data.pixels_at(labels.labels, coords)
@@ -456,16 +463,16 @@ def gradcheck(config: RunConfig = None, n_samples: int = 200, h: float = 1e-5,
     # detached views share theta, so they see each perturbation, and the
     # finite-difference losses build no graph
     fd_loss = loss_of(mdl.detached())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRADCHECK_SEED)
     total = mdl.theta.size
-    picks = rng.choice(total, size=min(n_samples, total), replace=False)
+    picks = rng.choice(total, size=min(GRADCHECK_SAMPLES, total), replace=False)
     worst, at = 0.0, None
     for i in picks:
-        err = _rel_error(float(grad[i]), finite_difference_gradient(fd_loss, mdl.theta, i, h))
+        err = _rel_error(float(grad[i]), finite_difference_gradient(fd_loss, mdl.theta, i))
         if err > worst:
             worst, at = err, int(i)
     return GradcheckReport(worst, len(picks), "" if at is None else mdl.name_of(at),
-                           tolerance, time.perf_counter() - started)
+                           GRADCHECK_TOLERANCE, time.perf_counter() - started)
 
 
 def _condition_check_point(mdl, seed: int) -> None:

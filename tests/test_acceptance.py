@@ -94,7 +94,7 @@ def trained(dataset):
 
 def test_criterion_01_gradient_fidelity():
     started = time.perf_counter()
-    rep = training.gradcheck(n_samples=200, h=1e-5, tolerance=1e-4)
+    rep = training.gradcheck()
     elapsed = time.perf_counter() - started
     assert rep.n_checked >= 200
     assert rep.max_rel_error < 1e-4, f"max rel error {rep.max_rel_error}"

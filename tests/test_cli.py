@@ -515,6 +515,64 @@ def test_evaluate_rejects_malformed_split(workspace, tmp_path, capsys, content):
     assert f"malformed split file {split_path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["train", "test"])
+def test_evaluate_rejects_pixel_repeated_within_a_list(workspace, tmp_path, capsys, key):
+    doc = json.loads((workspace["run"] / "split.json").read_text())
+    repeated = doc[key][1]
+    doc[key] = doc[key] + [repeated] + doc[key][:2]
+    split_path = tmp_path / "split.json"
+    split_path.write_text(json.dumps(doc))
+    rc = cli.main([
+        "evaluate", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--split", str(split_path), "--out", str(tmp_path / "out"), "--on", key,
+    ])
+    assert rc == 2
+    assert f"pixel {tuple(repeated)} is listed twice in the {key} list" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_reports_hold_only_python_scalars(workspace, tmp_path, monkeypatch):
+    """metrics.json and interpretability.json are built from Python
+    scalars, lists and dicts, with NaN the only value written as null."""
+    docs = {}
+    write_json = cli._write_json
+
+    def capture(path, doc):
+        docs[os.path.basename(path)] = doc
+        write_json(path, doc)
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    common = ["--checkpoint", workspace["checkpoint"], "--cube", workspace["cube"],
+              "--labels", workspace["labels"]]
+    pred_dir = tmp_path / "pred"
+    assert cli.main(["predict", "--checkpoint", workspace["checkpoint"],
+                     "--cube", workspace["cube"], "--out", str(pred_dir)]) == 0
+    other = data.read_grid_csv(str(pred_dir / "map.csv"), "class map") % 3 + 1
+    data.write_grid_csv(other, str(tmp_path / "other.csv"))
+    assert cli.main(["evaluate", *common, "--compare", str(tmp_path / "other.csv"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    assert cli.main(["interpret", *common, "--out", str(tmp_path / "interp")]) == 0
+    assert sorted(docs) == ["interpretability.json", "metrics.json"]
+    assert "chi2" in docs["metrics.json"]["mcnemar"]
+
+    def leaves(doc):
+        if isinstance(doc, dict):
+            assert {type(k) for k in doc} <= {str, int}
+            for v in doc.values():
+                yield from leaves(v)
+        elif type(doc) is list:
+            for v in doc:
+                yield from leaves(v)
+        else:
+            yield doc
+
+    for name, doc in docs.items():
+        kinds = {type(v) for v in leaves(doc)}
+        assert kinds <= {str, int, float, type(None)}, (name, kinds)
+
+
 def test_interpret_rejects_malformed_references(workspace, tmp_path, capsys):
     coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
     refs = tmp_path / "refs.csv"

@@ -115,8 +115,8 @@ def test_normalize_range_property(rng):
 
 def test_segment_hand_assignment():
     cube = make_cube(np.zeros((1, 1, 4), dtype=np.float32), [480.0, 550.0, 700.0, 900.0])
-    seg = data.segment_bands(cube)
-    by_name = dict(zip(seg.names, seg.band_indices))
+    seg = data.segment_bands(cube, data.default_band_slices())
+    by_name = {name: idx for (name, _, _), idx in zip(seg.slices, seg.band_indices)}
     assert by_name["blue"] == (0,)
     assert by_name["green"] == (1,)
     assert by_name["red-edge1"] == (2,)
@@ -128,8 +128,8 @@ def test_segment_hand_assignment():
 
 def test_segment_lower_bound_inclusive():
     cube = make_cube(np.zeros((1, 1, 1), dtype=np.float32), [515.0])
-    seg = data.segment_bands(cube)
-    assert dict(zip(seg.names, seg.band_indices))["green"] == (0,)
+    seg = data.segment_bands(cube, data.default_band_slices())
+    assert dict(seg.non_empty()) == {"green": (0,)}
 
 
 @settings(max_examples=50, deadline=None)
@@ -138,7 +138,7 @@ def test_segment_lower_bound_inclusive():
 def test_segment_is_partition(wavelengths):
     wavelengths = sorted(wavelengths)
     cube = make_cube(np.zeros((1, 1, len(wavelengths)), dtype=np.float32), wavelengths)
-    seg = data.segment_bands(cube)
+    seg = data.segment_bands(cube, data.default_band_slices())
     assigned = [i for idx in seg.band_indices for i in idx]
     assert sorted(assigned) == list(range(len(wavelengths)))
     assert len(assigned) == len(set(assigned))

@@ -20,13 +20,15 @@ def index_by_name(name: str) -> ev.VegetationIndexDef:
 
 
 def test_confusion_diagonal():
-    cm = ev.confusion([1, 2, 3, 1], [1, 2, 3, 1])
+    cm = ev.confusion([1, 2, 3, 1], [1, 2, 3, 1], n_class=3)
     np.testing.assert_array_equal(cm.counts, np.diag([2, 1, 1]))
 
 
 def test_confusion_single_offdiagonal():
-    cm = ev.confusion([1], [2])
+    cm = ev.confusion([1], [2], n_class=2)
     assert cm.counts[0][1] == 1 and cm.total == 1
+    np.testing.assert_array_equal(ev.confusion([1], [2], n_class=3).counts,
+                                  [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def test_confusion_skips_unlabeled_and_counts(rng):
@@ -39,7 +41,9 @@ def test_confusion_skips_unlabeled_and_counts(rng):
 
 def test_confusion_length_mismatch():
     with pytest.raises(DataError, match="length mismatch"):
-        ev.confusion([1, 2], [1])
+        ev.confusion([1, 2], [1], n_class=2)
+    with pytest.raises(DataError, match=r"labels outside \[1, 2\]"):
+        ev.confusion([1, 3], [1, 1], n_class=2)
 
 
 # oa / aa / kappa / sens-spec ---------------------------------------------
@@ -238,10 +242,6 @@ def test_entropy_all_zero_uniform_fallback():
     assert ev.shannon_entropy(np.zeros((3, 8))) == pytest.approx(math.log(8))
 
 
-def test_entropy_base2():
-    assert ev.shannon_entropy(np.ones((1, 4)), base="2") == pytest.approx(2.0)
-
-
 def test_entropy_per_class_matches_per_class_calls(rng):
     feats = rng.normal(size=(12, 5))
     labs = np.array([3, 1, 1, 2, 3, 3, 1, 2, 2, 1, 3, 2])
@@ -345,11 +345,17 @@ def test_ndwi_unavailable_on_vnir_sensor():
 
 
 def test_nearest_band_tolerance():
-    spec, wl = spectrum_with({755.0: 0.5, 556.0: 0.1})
-    out = ev.vegetation_index(spec, wl, index_by_name("NDVI"), tolerance_nm=10.0)
-    assert out == pytest.approx(0.4 / 0.6)
-    with pytest.raises(DataError):
-        ev.vegetation_index(spec, wl, index_by_name("NDVI"), tolerance_nm=2.0)
+    assert ev.INDEX_TOLERANCE_NM == 10.0
+    ndvi = index_by_name("NDVI")  # 760 and 560 nm
+    # bands exactly 10 nm away are read
+    spec, wl = spectrum_with({750.0: 0.5, 570.0: 0.1})
+    assert ev.vegetation_index(spec, wl, ndvi) == pytest.approx(0.4 / 0.6)
+    assert ndvi in ev.available_indices(wl)
+    # 10.5 nm away is too far
+    spec, wl = spectrum_with({760.0: 0.5, 549.5: 0.1})
+    with pytest.raises(DataError, match="unavailable for NDVI: 560.0 nm"):
+        ev.vegetation_index(spec, wl, ndvi)
+    assert ndvi not in ev.available_indices(wl)
 
 
 def hand_oracles(r):
@@ -404,16 +410,6 @@ def test_available_indices_on_vnir():
 # r squared ----------------------------------------------------------------------
 
 
-def test_r_squared_perfect_linear():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert ev.r_squared(x, 2 * x + 1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_r_squared_zero_variance():
-    with pytest.raises(DataError, match="zero variance"):
-        ev.r_squared([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-
-
 def _textbook_r2(x, y):
     n = len(x)
     sx, sy = x.sum(), y.sum()
@@ -423,11 +419,32 @@ def _textbook_r2(x, y):
     return r * r
 
 
+def test_r_squared_perfect_linear():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    y = 2 * x + 1
+    got = ev.r_squared(np.column_stack([x, -x]), y)
+    assert got.shape == (2,)
+    for column, r2 in zip((x, -x), got):
+        assert r2 == pytest.approx(_textbook_r2(column, y), abs=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_r_squared_zero_variance():
+    x = np.array([[1.0, 4.0], [2.0, 4.0], [3.0, 4.0]])
+    y = np.array([5.0, 6.0, 8.0])
+    got = ev.r_squared(x, y)
+    assert got[0] == pytest.approx(_textbook_r2(x[:, 0], y), rel=1e-12)
+    assert np.isnan(got[1])  # constant column
+    assert np.isnan(ev.r_squared(x, [5.0, 5.0, 5.0])).all()  # constant y
+
+
 def test_r_squared_textbook_oracle(rng):
     for _ in range(30):
-        x = rng.normal(size=12)
+        x = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        assert ev.r_squared(x, y) == pytest.approx(_textbook_r2(x, y), rel=1e-12)
+        got = ev.r_squared(x, y)
+        for i in range(3):
+            assert got[i] == pytest.approx(_textbook_r2(x[:, i], y), rel=1e-12)
 
 
 def test_r_squared_matrix_matches_per_column_oracle(rng):
@@ -443,9 +460,6 @@ def test_r_squared_matrix_matches_per_column_oracle(rng):
     want = np.array([_textbook_r2(x[:, i], y) for i in np.flatnonzero(~constant)])
     np.testing.assert_allclose(got[~constant], want, rtol=0, atol=1e-13)
     assert got[6] == pytest.approx(1.0, abs=1e-13)
-    # each column agrees with the 1-D form
-    for i in np.flatnonzero(~constant):
-        assert abs(got[i] - ev.r_squared(x[:, i], y)) <= 1e-13
     assert np.isnan(ev.r_squared(x, np.full(40, 7.0))).all()
 
 
@@ -454,6 +468,8 @@ def test_r_squared_matrix_checks_lengths():
         ev.r_squared(np.ones((4, 2)), np.arange(5.0))
     with pytest.raises(DataError, match="at least 3"):
         ev.r_squared(np.eye(2), np.arange(2.0))
+    with pytest.raises(DataError, match=r"needs an \(n, F\) x"):
+        ev.r_squared(np.arange(4.0), np.arange(4.0))
 
 
 # report documents ----------------------------------------------------------

@@ -86,7 +86,7 @@ def build_model(slices, n_class, seed=0):
 def segmented(wavelengths):
     cube = data.HsiCube(1, 1, len(wavelengths), tuple(wavelengths),
                         np.zeros((1, 1, len(wavelengths)), dtype=np.float32))
-    return data.segment_bands(cube)
+    return data.segment_bands(cube, data.default_band_slices())
 
 
 def base_features(spectrum, mdl):
