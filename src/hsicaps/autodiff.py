@@ -16,9 +16,12 @@ Otherwise it returns a Tensor that keeps the tracked pairs, and
 into its input's ``.grad`` and releasing each interior node once its VJPs
 have run. An input passed twice receives both VJPs.
 
-Every linear map runs through one contraction, ``matmul``, which folds
-the leading axes of its left operand into one 2-D product; ``conv`` is
-that product over ``unfold``'s strided views (no op writes its inputs).
+Every linear map runs through one contraction, ``matmul``. With a 2-D
+right operand it folds the leading axes of its left operand into one 2-D
+product; ``conv`` is that product over ``unfold``'s strided views (no op
+writes its inputs). With a stack of right matrices it is ``np.matmul``'s
+batched product, whose batch axes broadcast; the capsule tail runs its
+per-pose predictions and its routing sums that way.
 ``window_sum`` adds up per-row products picked by integer ids, so a
 convolution over gathered rows can multiply each distinct row once and
 never copy its windows.
@@ -141,13 +144,20 @@ def div(a, b):
 
 
 def matmul(a, b):
-    """``a @ b`` over the last axis of any (..., K) ``a``, for (K, n) ``b``.
+    """``a @ b`` over the last axis of any (..., K) ``a``.
 
-    The leading axes of ``a`` fold into the rows of one 2-D product.
+    For a (K, n) ``b`` the leading axes of ``a`` fold into the rows of one
+    2-D product. A (..., K, n) ``b`` is a stack of matrices whose batch axes
+    broadcast against those of a (..., P, K) ``a`` as in ``np.matmul``.
     """
     av, bv = _val(a), _val(b)
-    if bv.ndim != 2:
-        raise ValueError("matmul needs a 2-D right operand")
+    if bv.ndim < 2 or (bv.ndim > 2 and av.ndim < 2):
+        raise ValueError("matmul needs a 2-D right operand, or a stack of them "
+                         "under a left operand of 2-D or more")
+    if bv.ndim > 2:
+        return _node(av @ bv,
+                     (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+                     (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
     a2 = av.reshape(-1, av.shape[-1])
     n = bv.shape[1]
     return _node((a2 @ bv).reshape(av.shape[:-1] + (n,)),

@@ -6,12 +6,14 @@ rows and a grid of row ids, passes through the stage-2 relu convolution
 sums each window's products by id), a bank of linear convolutional capsules
 (``ad.conv``) whose channel groups form pose vectors (squashed so
 lengths live in [0, 1)), and a class-capsule layer whose coupling
-coefficients are refined by agreement routing. Every routine is batched
-over a leading sample axis and takes its weights as arguments (plain
-arrays or autodiff tensors); the model passes them in from its parameter
-registry. Everything after the relu convolution is one capsule block
-(``model._capsules``), which the per-patch forward and the whole-scene
-path both call.
+coefficients are refined by agreement routing. The class predictions and
+both routing contractions are batched matmuls (``ad.matmul`` with a stack
+of right matrices), so no (N, M, n_class, D, K) product is formed. Every
+routine is batched over a leading sample axis and takes its weights as
+arguments (plain arrays or autodiff tensors); the model passes them in from
+its parameter registry. Everything after the relu convolution is one
+capsule block (``model._capsules``), which the per-patch forward and the
+whole-scene path both call.
 """
 
 import numpy as np
@@ -67,7 +69,9 @@ def predict_vectors(poses, weights, biases):
     """Per-class predictions of every pose: (..., M, K) -> (..., M, n, D).
 
     ``weights`` (M, n_class, D, K) hold one transformation matrix per
-    (pose, class) pair; ``biases`` (n_class, D) are shared over poses.
+    (pose, class) pair; ``biases`` (n_class, D) are shared over poses. The
+    P = prod(...) pose sets run as one batched matmul over M,
+    (M, P, K) @ (M, K, n * D).
     """
     shape = ad.shape_of(poses)
     M, K = shape[-2], shape[-1]
@@ -76,9 +80,11 @@ def predict_vectors(poses, weights, biases):
         raise DataError(
             f"pose set ({M} vectors of dim {K}) incompatible with weights {wv.shape}"
         )
-    u = ad.reshape(poses, tuple(shape[:-1]) + (1, 1, K))
-    u_hat = ad.sum(ad.mul(u, weights), axis=-1)
-    return ad.add(u_hat, biases)
+    _, n, D, _ = wv.shape
+    u = ad.transpose(ad.reshape(poses, (-1, M, K)), (1, 0, 2))
+    w = ad.transpose(ad.reshape(weights, (M, n * D, K)), (0, 2, 1))
+    u_hat = ad.transpose(ad.matmul(u, w), (1, 0, 2))
+    return ad.add(ad.reshape(u_hat, shape[:-1] + (n, D)), biases)
 
 
 def dynamic_routing(u_hat, iterations: int):
@@ -87,17 +93,25 @@ def dynamic_routing(u_hat, iterations: int):
     Logits start at zero; per iteration the coefficients are the softmax
     of the logits over classes, class inputs are the coupled sums, the
     activities are their squash, and each logit grows by the activity /
-    prediction agreement. Returns (v, b, history of (c, s, v))."""
+    prediction agreement. The predictions are laid out once as (..., n_class,
+    M, D), so both contractions are batched matmuls per class: the coupled
+    sum (..., n_class, 1, M) @ (..., n_class, M, D) and the agreement
+    (..., n_class, M, D) @ (..., n_class, D, 1). Returns (v, history of
+    (c, s, v)), with coefficients c (..., M, n_class)."""
     if iterations < 1:
         raise DataError("routing needs at least 1 iteration")
-    shape = ad.shape_of(u_hat)
-    b = np.zeros(shape[:-1])
+    *lead, M, n, D = ad.shape_of(u_hat)
+    nd = len(lead)
+    swap = (*range(nd), nd + 1, nd)  # (..., M, n) <-> (..., n, M)
+    per_class = ad.transpose(u_hat, swap + (nd + 2,))
+    b = np.zeros((*lead, n, M))
     history = []
-    v = s = c = None
-    for _ in range(iterations):
-        c = ad.softmax(b, axis=-1)
-        s = ad.sum(ad.mul(ad.expand_dims(c, -1), u_hat), axis=-3)
+    for i in range(iterations):
+        c = ad.softmax(b, axis=-2)
+        s = ad.reshape(ad.matmul(ad.expand_dims(c, -2), per_class), (*lead, n, D))
         v = squash(s, axis=-1)
-        history.append((c, s, v))
-        b = ad.add(b, ad.sum(ad.mul(u_hat, ad.expand_dims(v, -3)), axis=-1))
-    return v, b, history
+        history.append((ad.transpose(c, swap), s, v))
+        if i + 1 < iterations:
+            agreement = ad.matmul(per_class, ad.expand_dims(v, -1))
+            b = ad.add(b, ad.reshape(agreement, (*lead, n, M)))
+    return v, history

@@ -223,7 +223,7 @@ def _capsules(model: Model, o) -> dict:
     poses = capsule.primary_capsules_batch(o, p["caps.primary.w"], s2.capsules,
                                            s2.capsule_stride)
     u_hat = capsule.predict_vectors(poses, p["caps.class.w"], p["caps.class.b"])
-    v, _, _ = capsule.dynamic_routing(u_hat, s2.routing_iterations)
+    v, _ = capsule.dynamic_routing(u_hat, s2.routing_iterations)
     return {"poses": poses, "v": v, "lengths": ad.norm(v, axis=-1)}
 
 

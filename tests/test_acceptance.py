@@ -134,14 +134,14 @@ def test_criterion_02_squash_law():
 def test_criterion_03_routing_invariants():
     rng = np.random.default_rng(SEED)
     u_hat = rng.normal(size=(1, 8, 5, 4)) * 1.5  # one sample, batched
-    _, _, history = capsule.dynamic_routing(u_hat, iterations=4)
+    _, history = capsule.dynamic_routing(u_hat, iterations=4)
     for c, _, _ in history:
         np.testing.assert_allclose(c.sum(axis=-1), 1.0, atol=1e-9)
     np.testing.assert_allclose(history[0][0], 1.0 / 5.0, atol=1e-15)
 
     unanimous = np.zeros((1, 2, 2, 3))
     unanimous[0, :, 0, 0] = 1.2
-    _, _, history = capsule.dynamic_routing(unanimous, iterations=3)
+    _, history = capsule.dynamic_routing(unanimous, iterations=3)
     agreed = [c[0, 0, 0] for c, _, _ in history]
     assert agreed[0] == pytest.approx(0.5)
     assert agreed[0] < agreed[1] < agreed[2]
@@ -249,7 +249,7 @@ def matmul_multiply_adds_per_patch(mdl, patches, monkeypatch):
     matmul = ad.matmul
 
     def counted(a, b):
-        count[0] += math.prod(ad.shape_of(a)) * ad.shape_of(b)[1]  # rows * K * n
+        count[0] += math.prod(ad.shape_of(a)) * ad.shape_of(b)[-1]  # rows * K * n
         return matmul(a, b)
 
     with monkeypatch.context() as mp:

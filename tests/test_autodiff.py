@@ -79,8 +79,12 @@ def test_matmul_and_reductions(rng):
 def test_matmul_folds_leading_axes(rng):
     x = parameter(rng.normal(size=(2, 3, 4)))
     w = parameter(rng.normal(size=(4, 5)))
-    want = (x.data.reshape(-1, 4) @ w.data).reshape(2, 3, 5)
-    assert np.array_equal(ad.value(ad.matmul(x, w)), want)
+    g = rng.normal(size=(2, 3, 5))
+    y = ad.matmul(x, w)
+    assert np.array_equal(y.data, (x.data.reshape(-1, 4) @ w.data).reshape(2, 3, 5))
+    ad.backward(ad.sum(ad.mul(y, g)))  # the VJPs are the same folded products
+    assert np.array_equal(x.grad, (g.reshape(-1, 5) @ w.data.T).reshape(2, 3, 4))
+    assert np.array_equal(w.grad, x.data.reshape(-1, 4).T @ g.reshape(-1, 5))
 
     def build():
         y = ad.matmul(x, w)
@@ -89,10 +93,33 @@ def test_matmul_folds_leading_axes(rng):
     fd_check(build, [x, w])
 
 
-@pytest.mark.parametrize("shape", [(4,), (2, 4, 5)])
+@pytest.mark.parametrize("shape", [(4,)])
 def test_matmul_needs_2d_right_operand(rng, shape):
     with pytest.raises(ValueError, match="2-D right operand"):
         ad.matmul(rng.normal(size=(3, 4)), rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 4, 5), (3, 5, 2)),  # (M, P, K) @ (M, K, n)
+    ((1, 4, 5), (3, 5, 2)),  # a broadcast batch axis
+    ((3, 4), (2, 4, 5)),  # a left matrix under a stack of right ones
+    ((2, 1, 1, 3), (2, 3, 3, 2)),  # (..., n, 1, M) @ (..., n, M, D), routing's sum
+])
+def test_batched_matmul_equals_np_matmul_and_fd(rng, a_shape, b_shape):
+    a = parameter(rng.normal(size=a_shape))
+    b = parameter(rng.normal(size=b_shape))
+    assert np.array_equal(ad.value(ad.matmul(a, b)), np.matmul(a.data, b.data))
+
+    def build():
+        y = ad.matmul(a, b)
+        return ad.sum(ad.mul(y, y))
+
+    fd_check(build, [a, b])
+
+
+def test_batched_matmul_needs_2d_left_operand(rng):
+    with pytest.raises(ValueError, match="2-D right operand"):
+        ad.matmul(rng.normal(size=(4,)), rng.normal(size=(2, 4, 5)))
 
 
 def test_conv_channel_mismatch_error():

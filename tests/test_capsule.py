@@ -6,6 +6,7 @@ import pytest
 from hsicaps import autodiff as ad
 from hsicaps import capsule
 from hsicaps.errors import DataError
+from test_model import rel_gap
 
 
 def conv2d(fmap, weights, bias=None, stride=1):
@@ -194,7 +195,7 @@ def route(u_hat, iterations):
     Returns the final activities (n_class, D) and the per-iteration
     coupling coefficients, each (M, n_class).
     """
-    v, _, history = capsule.dynamic_routing(np.asarray(u_hat)[None], iterations)
+    v, history = capsule.dynamic_routing(np.asarray(u_hat)[None], iterations)
     return np.asarray(v)[0], [np.asarray(c)[0] for c, _, _ in history]
 
 
@@ -260,6 +261,53 @@ def test_routing_permutation_invariance(rng):
 def test_routing_needs_iterations():
     with pytest.raises(DataError):
         capsule.dynamic_routing(np.zeros((1, 2, 2, 2)), iterations=0)
+
+
+# batched tail against the broadcast-and-sum reference ----------------------------
+
+
+def reference_predict_vectors(poses, weights, biases):
+    """(..., M, K) poses times (M, n, D, K) weights as one broadcast
+    (..., M, n, D, K) product summed over K, plus the (n, D) biases."""
+    shape = ad.shape_of(poses)
+    u = ad.reshape(poses, tuple(shape[:-1]) + (1, 1, shape[-1]))
+    return ad.add(ad.sum(ad.mul(u, weights), axis=-1), biases)
+
+
+def reference_routing(u_hat, iterations):
+    """Agreement routing with both contractions as broadcast products summed
+    over M and over D; coefficients (..., M, n) as ``dynamic_routing``'s."""
+    b = np.zeros(ad.shape_of(u_hat)[:-1])
+    history = []
+    for _ in range(iterations):
+        c = ad.softmax(b, axis=-1)
+        s = ad.sum(ad.mul(ad.expand_dims(c, -1), u_hat), axis=-3)
+        v = capsule.squash(s, axis=-1)
+        history.append((c, s, v))
+        b = ad.add(b, ad.sum(ad.mul(u_hat, ad.expand_dims(v, -3)), axis=-1))
+    return v, history
+
+
+@pytest.mark.parametrize("lead", [(5,), ()])  # five pose sets, one unbatched set
+def test_batched_tail_matches_broadcast_reference(rng, lead):
+    M, n, D, K = 72, 9, 8, 8
+    raw = (rng.uniform(-1, 1, size=lead + (M, K)), rng.uniform(-0.3, 0.3, size=(M, n, D, K)),
+           rng.uniform(-0.1, 0.1, size=(n, D)))  # poses, weights, biases
+    g = rng.normal(size=lead + (n, D))
+    runs = []
+    for predict, route_fn in ((capsule.predict_vectors, capsule.dynamic_routing),
+                              (reference_predict_vectors, reference_routing)):
+        leaves = [ad.Tensor(x.copy(), requires_grad=True) for x in raw]
+        u_hat = predict(*leaves)
+        v, history = route_fn(u_hat, 3)
+        values = [u_hat] + [x for step in history for x in step]
+        ad.backward(ad.sum(ad.mul(v, g)))
+        runs.append(([np.array(x.data) for x in values], [t.grad for t in leaves]))
+    (got_values, got_grads), (want_values, want_grads) = runs
+    assert got_values[0].shape == lead + (M, n, D) and got_values[1].shape == lead + (M, n)
+    for got, want in zip(got_values + got_grads, want_values + want_grads):
+        assert got.shape == want.shape
+        assert rel_gap(got, want) < 1e-12
 
 
 # class probabilities ----------------------------------------------------------

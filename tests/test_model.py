@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -408,6 +409,26 @@ def strided_setup(patch_size=11):
     cfg.validate()
     split = data.split_samples(labels, 0.5, 3)
     return cube, training.build_model(cube, labels, split, cfg)
+
+
+def test_capsule_block_peak_memory_is_below_the_prediction_product(small_cube):
+    """One ``_capsules`` call on 64 nine-class centres. The (N, M, n, D, K)
+    product of poses and class weights alone is 64 * 72 * 9 * 8 * 8 doubles,
+    21 MiB, at this shape; the batched matmuls never form it."""
+    cfg = RunConfig()  # default stage 2: 32 filters, 8 capsules of 8, D = 8
+    cfg.training.enhancement_on = False
+    rng = np.random.default_rng(5)
+    slices = data.segment_bands(small_cube, data.default_band_slices())
+    mdl = model_mod.init_model(slices, 9, cfg, rng).detached()
+    assert mdl.params["caps.class.w"].shape == (72, 9, 8, 8)
+    o = rng.uniform(size=(64, 5, 5, 32))
+    tracemalloc.start()
+    try:
+        model_mod._capsules(mdl, o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
 def test_scene_forward_equals_patch_forward_everywhere():
