@@ -13,12 +13,12 @@ spatial convolution runs on the base features and their binary index
 with ``spectral.conv_kernel``, the registry's ``caps.conv.w`` with its
 triangular-index part folded in. With tracked parameters the same code
 builds the training graph; with detached parameters it runs as plain
-numpy. Inference runs the pixel features and the spatial convolution
-fully convolutionally over row tiles of a whole scene (``scene_forward``),
-so each pixel's spectrum is processed once, and then feeds every centre's
-conv window through the same capsule block. ``forward`` likewise runs the
-pixel features, and the stage-2 conv's tap products, once per distinct
-pixel of its batch.
+numpy. Inference runs the spatial convolution fully convolutionally over
+row tiles of a scene (``scene_forward``), with the pixel features and the
+conv's tap products computed once for each tile pixel that a requested
+patch covers, and then feeds every centre's conv window through the same
+capsule block. ``forward`` likewise runs the pixel features, and the
+stage-2 conv's tap products, once per distinct pixel of its batch.
 """
 
 import copy
@@ -33,9 +33,10 @@ from . import capsule, data, spectral
 from .errors import DataError, NumericError
 
 # Centre rows per tile of ``scene_forward``. Its peak memory follows the
-# tile: about (tile + patch) * (width + patch) * (b + C(b,2) + k^2 * J)
-# doubles, each pixel's stage-2 conv input and its k x k tap products over
-# J = conv_filters channels.
+# tile pixels that the requested patches cover, at most (tile + patch) *
+# (width + patch) of them, each with b + C(b,2) + k^2 * J doubles: its
+# stage-2 conv input and its k x k tap products over J = conv_filters
+# channels. A whole-scene request covers every tile pixel.
 SCENE_TILE_ROWS = 8
 # Patches per ``forward`` call in predict_lengths, and centres per
 # ``_capsules`` call in scene_forward.
@@ -236,8 +237,9 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
     so every patch is a window of the same array. Per tile of ``tile_rows``
     centre rows (plus a patch // 2 halo each side; tiles without a centre
     are skipped) the spectral head, enhancement and the stage-2 conv's tap
-    products run once per pixel, and the stride-1 conv sums them over the
-    tile's id grid; the folded stage-2 kernel is built once per call.
+    products run once per pixel that some centre's patch covers, and the
+    stride-1 conv sums them over the tile's id grid; the folded stage-2
+    kernel is built once per call.
     Each centre's h1 x h1 window of that map, at the conv stride, is the
     stage-2 output of its patch, and the windows go through ``forward``'s
     capsule block. Rows follow ``coords``, duplicates included.
@@ -251,17 +253,28 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
     out = {"poses": np.empty((len(rc), M, K)), "v": np.empty((len(rc), n_class, D)),
            "lengths": np.empty((len(rc), n_class))}
     kernel = spectral.conv_kernel(mdl)
+    span = np.arange(size)
     tile_of = rc[:, 0] // tile_rows
     for tile in np.unique(tile_of):
         ids = np.flatnonzero(tile_of == tile)
         r0 = tile * tile_rows
         rows = padded[r0 : r0 + tile_rows + size - 1]
         R, W, B = rows.shape
-        feats = spectral.pixel_features(rows.reshape(R * W, B), mdl)
-        o = capsule.conv2d_batch(feats, np.arange(R * W).reshape(1, R, W), kernel,
-                                 p["caps.conv.b"], 1)[0]
+        # Feature rows only for the pixels that some centre's patch covers,
+        # in row-major order; the other ids stay 0, and no conv position
+        # that a centre reads sums them.
+        top, left = rc[ids, 0] - r0, rc[ids, 1]
+        grid = np.zeros((R, W), dtype=np.intp)
+        grid[(top[:, None] + span)[:, :, None], (left[:, None] + span)[:, None, :]] = 1
+        covered = np.flatnonzero(grid)
+        grid.flat[covered] = np.arange(covered.size)
+        # Cast as pixel_features would, so no float32 copy outlives the cast,
+        # and keep no reference to the features once their taps are taken.
+        o = capsule.conv2d_batch(
+            spectral.pixel_features(rows.reshape(R * W, B)[covered].astype(np.float64), mdl),
+            grid[None], kernel, p["caps.conv.b"], 1)[0]
         windows = sliding_window_view(o, (width, width), axis=(0, 1))[..., ::stride, ::stride]
-        o_centres = windows[rc[ids, 0] - r0, rc[ids, 1]].transpose(0, 2, 3, 1)
+        o_centres = windows[top, left].transpose(0, 2, 3, 1)
         for lo in range(0, len(ids), TAIL_BATCH):
             for key, val in _capsules(mdl, o_centres[lo : lo + TAIL_BATCH]).items():
                 out[key][ids[lo : lo + TAIL_BATCH]] = val

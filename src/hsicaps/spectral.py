@@ -22,9 +22,9 @@ composition of heads and enhancement that every forward pass uses; it returns
 the stage-2 conv input [x1, x2] of b + C(b,2) channels. Since x3 = x1 @ T
 is linear and so is the conv before its relu, ``conv_kernel`` folds the
 triangular part of ``caps.conv.w`` into its base part, and no forward
-pass builds x3. Only the cap fit and ``interpret``'s export, through
-``enhanced_features``, do. All forward routines run on plain arrays or on
-autodiff tensors.
+pass builds x3. The cap fit ranks triples by variances taken from x1's
+covariance, so only ``interpret``'s export, through ``enhanced_features``,
+builds x3. All forward routines run on plain arrays or on autodiff tensors.
 """
 
 import itertools
@@ -149,14 +149,19 @@ def triangular_matrix(F: int, combos=None) -> np.ndarray:
         raise DataError("triangular index needs at least 3 features")
     if combos is None:
         combos = triple_indices(F)
-    i, j, h = np.asarray(combos, dtype=np.intp).T
-    # area = ((h-j)(x_i-x_h) - (h-i)(x_j-x_h)) / 2, expanded per feature
+    (i, j, h), (a, b, c) = _triangle_terms(combos)
     cols = np.arange(i.size)
     tri = np.zeros((F, i.size))
-    tri[i, cols] = 0.5 * (h - j)
-    tri[j, cols] = -0.5 * (h - i)
-    tri[h, cols] = 0.5 * (j - i)
+    tri[i, cols], tri[j, cols], tri[h, cols] = a, b, c
     return tri
+
+
+def _triangle_terms(combos):
+    """Feature ids (i, j, h) of each (S, 3) triple and the coefficients
+    (a, b, c) of its area ((h-j)(x_i-x_h) - (h-i)(x_j-x_h)) / 2, expanded
+    per feature to a x_i + b x_j + c x_h."""
+    i, j, h = np.asarray(combos, dtype=np.intp).T
+    return (i, j, h), (0.5 * (h - j), -0.5 * (h - i), 0.5 * (j - i))
 
 
 def triangular_index(x1, combos=None):
@@ -165,19 +170,32 @@ def triangular_index(x1, combos=None):
     return ad.matmul(x1, triangular_matrix(ad.shape_of(x1)[-1], combos))
 
 
+def triangular_variances(x1: np.ndarray, combos) -> np.ndarray:
+    """Variance over the rows of (n, F) ``x1`` of each triple's triangle area.
+
+    The area is a x_i + b x_j + c x_h, so its variance is a quadratic form
+    in x1's (F, F) covariance Σ: a²Σii + b²Σjj + c²Σhh + 2(abΣij + acΣih +
+    bcΣjh). No (n, S) area matrix is built.
+    """
+    centred = x1 - x1.mean(axis=0)
+    cov = centred.T @ centred / x1.shape[0]
+    (i, j, h), (a, b, c) = _triangle_terms(combos)
+    return (a * a * cov[i, i] + b * b * cov[j, j] + c * c * cov[h, h]
+            + 2.0 * (a * b * cov[i, j] + a * c * cov[i, h] + b * c * cov[j, h]))
+
+
 def fit_triangular_cap(x1_train: np.ndarray, cap: int) -> np.ndarray:
     """Select the ``cap`` highest-variance triples on training features.
 
-    Ranking uses variance (descending) with lexicographic tie-breaks; the
-    selected combinations are returned in lexicographic order so feature
-    identity stays stable.
+    Ranking uses variance (descending, ``triangular_variances``) with
+    lexicographic tie-breaks; the selected combinations are returned in
+    lexicographic order so feature identity stays stable.
     """
     F = x1_train.shape[-1]
     combos = triple_indices(F)
     if cap >= combos.shape[0]:
         return combos
-    values = np.asarray(triangular_index(x1_train, combos))
-    variances = values.var(axis=0)
+    variances = triangular_variances(x1_train, combos)
     ranked = np.lexsort((combos[:, 2], combos[:, 1], combos[:, 0], -variances))
     selected = np.sort(ranked[:cap])
     return combos[selected]

@@ -494,3 +494,60 @@ def test_scene_forward_empty_and_out_of_image_coords():
         assert "outside" in str(exc)
     else:
         raise AssertionError("expected an out-of-image error")
+
+
+# scene tiles compute only the pixels that a requested patch covers ---------
+
+# Four corners, an interior centre and an edge centre, spread over the rows.
+SPARSE = [(0, 0), (7, 7), (3, 4), (0, 7), (7, 0), (5, 2)]
+
+
+def covered_spectra(cube, coords, size, tile_rows):
+    """Per tile with a centre, in tile order: the padded spectra that some
+    centre's patch covers, in row-major order over the tile."""
+    padded = data.reflect_pad(cube, size)
+    tiles = {}
+    for r, c in coords:
+        cells = tiles.setdefault(r // tile_rows, set())
+        cells.update(itertools.product(range(r, r + size), range(c, c + size)))
+    return [padded[tuple(np.array(sorted(cells)).T)] for _, cells in sorted(tiles.items())]
+
+
+def test_scene_forward_runs_the_spectral_head_on_covered_pixels_only(monkeypatch):
+    cube, labels, cfg, mdl = tiny_setup()
+    seen, real = [], spectral.pixel_features
+    monkeypatch.setattr(spectral, "pixel_features",
+                        lambda pixels, m: seen.append(np.array(pixels)) or real(pixels, m))
+    for tile_rows in (1, 2, 3, cube.height):
+        seen.clear()
+        got = model_mod.scene_forward(mdl, cube, SPARSE, tile_rows)
+        want = covered_spectra(cube, SPARSE, mdl.patch_size, tile_rows)
+        assert [len(rows) for rows in seen] == [len(rows) for rows in want]
+        for rows, spectra in zip(seen, want):
+            np.testing.assert_array_equal(rows, spectra)
+        assert_same_outputs(got, patch_path(mdl, cube, SPARSE))
+
+
+def test_scene_forward_memory_follows_the_covered_pixels_not_the_width():
+    """Four centres of a 16 x 144, 103-band, nine-class scene, over two
+    tiles. A tile spans the padded width, 150 pixels, and each pixel's
+    stage-2 input is 63 + C(63, 2) = 2,016 doubles, so a whole 14-row tile's
+    features alone are 32.3 MiB. The four patches cover 196 pixels, whose
+    features are 3.0 MiB."""
+    rng = np.random.default_rng(11)
+    wavelengths = tuple(np.linspace(430.0, 860.0, 103))
+    cube = data.HsiCube(16, 144, 103, wavelengths,
+                        rng.uniform(0.0, 1.0, size=(16, 144, 103)).astype(np.float32))
+    cfg = RunConfig()
+    slices = data.segment_bands(cube, data.default_band_slices())
+    mdl = model_mod.init_model(slices, 9, cfg, rng, tri_cap=2000)
+    mdl.tri_combos = spectral.triple_indices(63)[:2000]
+    assert mdl.f_n == 4016
+    coords = [(0, 0), (5, 70), (9, 143), (15, 100)]
+    tracemalloc.start()
+    try:
+        model_mod.scene_forward(mdl, cube, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"

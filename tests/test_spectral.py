@@ -1,6 +1,7 @@
 """Slice feature heads and the two index transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,57 @@ def test_triangular_cap_selects_top_variance(rng):
     assert keys == sorted(keys)
     # cap larger than the population keeps everything
     assert spectral.fit_triangular_cap(x1, 1000).shape == (math.comb(5, 3), 3)
+
+
+def correlated_features(rng, n, F=63):
+    """(n, F) features with unequal scales and correlated columns, as slice
+    heads give."""
+    mix = rng.normal(size=(F, F)) * rng.uniform(0.1, 3.0, size=F)
+    return rng.normal(size=(n, F)) @ mix + rng.uniform(-2.0, 2.0, size=F)
+
+
+def dense_cap_reference(x1, cap):
+    """The cap fit with the variances of the dense (n, C(F,3)) area matrix."""
+    combos = spectral.triple_indices(x1.shape[1])
+    variances = (x1 @ spectral.triangular_matrix(x1.shape[1])).var(axis=0)
+    ranked = np.lexsort((combos[:, 2], combos[:, 1], combos[:, 0], -variances))
+    return combos[np.sort(ranked[:cap])]
+
+
+def test_triangular_variances_equal_the_dense_area_variances(rng):
+    for n, F in ((162, 63), (40, 12), (7, 5)):
+        x1 = correlated_features(rng, n, F)
+        combos = spectral.triple_indices(F)
+        want = (x1 @ spectral.triangular_matrix(F)).var(axis=0)
+        got = spectral.triangular_variances(x1, combos)
+        assert np.max(np.abs(got - want) / want) < 1e-12
+        subset = combos[::3]
+        np.testing.assert_array_equal(spectral.triangular_variances(x1, subset), got[::3])
+
+
+def test_triangular_cap_equals_the_dense_variance_reference():
+    for seed in range(4):
+        x1 = correlated_features(np.random.default_rng(seed), 162)
+        for cap in (1, 50, 2000):
+            np.testing.assert_array_equal(spectral.fit_triangular_cap(x1, cap),
+                                          dense_cap_reference(x1, cap))
+
+
+def test_triangular_cap_memory_does_not_grow_with_the_training_set(rng):
+    """C(63, 3) = 39,711 triples: a dense area matrix over 1,152 training
+    pixels would be 349 MiB. Only the (n, 63) centred copy grows with n."""
+    spectral.triple_indices(63)  # the cached triple list is not part of the fit
+    peaks = []
+    for n in (144, 1152):
+        x1 = correlated_features(rng, n)
+        tracemalloc.start()
+        try:
+            spectral.fit_triangular_cap(x1, 2000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 63 * 1152 * 8 + 2**16, [p / 2**20 for p in peaks]
+    assert peaks[1] < 8 * 2**20, f"tracemalloc peak {peaks[1] / 2**20:.1f} MiB"
 
 
 # index transforms as fixed matrices -------------------------------------------
