@@ -5,7 +5,8 @@ Cube container format: a UTF-8 JSON header
 wavelengths_nm:[...], data_file:"<relative path>"}`` next to a raw file
 of little-endian float32, band-interleaved-by-pixel, row-major.
 
-Patches are windows of the mirror-padded cube's ``sliding_window_view``.
+Patches are gathered through ``reflect_index``, the mirror-padded grid of
+source-pixel ids, so no padded copy of the spectra is made.
 Cubes, label maps, slice sets and splits are frozen after construction
 (their arrays are write-locked) and every operation is a pure function.
 """
@@ -16,7 +17,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -286,17 +286,18 @@ def segment_bands(cube: HsiCube, spec: BandSliceSet) -> BandSliceSet:
     return BandSliceSet(spec.slices, tuple(assigned))
 
 
-def reflect_pad(cube: HsiCube, size: int) -> np.ndarray:
-    """The cube's data mirror-padded by ``size // 2`` on both spatial axes.
+def reflect_index(cube: HsiCube, size: int) -> np.ndarray:
+    """The grid of flat pixel ids ``r * width + c`` mirror-padded by
+    ``size // 2`` on both sides: (height + size - 1, width + size - 1).
 
-    The patch of odd ``size`` centred on (r, c) is the window of this array
-    whose top-left corner is (r, c); reflection repeats where the image is
-    narrower than the pad.
+    The patch of odd ``size`` centred on (r, c) reads the pixels under the
+    window of this grid whose top-left corner is (r, c); reflection repeats
+    where the image is narrower than the pad.
     """
     if size % 2 == 0:
         raise DataError(f"patch size must be odd, got {size}")
-    pad = size // 2
-    return np.pad(cube.data, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
+    ids = np.arange(cube.height * cube.width).reshape(cube.height, cube.width)
+    return np.pad(ids, size // 2, mode="reflect")
 
 
 def centre_array(cube: HsiCube, coords) -> np.ndarray:
@@ -320,9 +321,9 @@ def extract_patch_batch(cube: HsiCube, coords, size: int) -> np.ndarray:
 
     Borders are mirror-reflected; every center must lie in the image.
     """
-    windows = sliding_window_view(reflect_pad(cube, size), (size, size, cube.bands))[:, :, 0]
-    rc = centre_array(cube, coords)
-    return np.ascontiguousarray(windows[rc[:, 0], rc[:, 1]], dtype=np.float64)
+    rc, span = centre_array(cube, coords), np.arange(size)
+    ids = reflect_index(cube, size)[(rc[:, :1] + span)[:, :, None], (rc[:, 1:] + span)[:, None, :]]
+    return cube.data.reshape(-1, cube.bands)[ids].astype(np.float64)
 
 
 def split_samples(labels: LabelMap, train_fraction: float, seed: int) -> SampleSplit:

@@ -5,20 +5,16 @@ in the order that ``param_spec`` writes down once: it is the rng draw
 order at init, the gradient's and Adam's layout and the checkpoint blob.
 ``Model.params`` maps each name to a view of its slice of ``theta``, a
 tracked Tensor in training and a plain array when detached, so every
-in-place update of ``theta`` shows through the views. The forward pass maps a
-batch of patches to class-capsule activities: per-pixel stage-1 features
-(``spectral.pixel_features``) -> spatial convolution -> the capsule
-block (``_capsules``: primary capsules -> routed class capsules). The
-spatial convolution runs on the base features and their binary index
-with ``spectral.conv_kernel``, the registry's ``caps.conv.w`` with its
-triangular-index part folded in. With tracked parameters the same code
-builds the training graph; with detached parameters it runs as plain
-numpy. Inference runs the spatial convolution fully convolutionally over
-row tiles of a scene (``scene_forward``), with the pixel features and the
-conv's tap products computed once for each tile pixel that a requested
-patch covers, and then feeds every centre's conv window through the same
-capsule block. ``forward`` likewise runs the pixel features, and the
-stage-2 conv's tap products, once per distinct pixel of its batch.
+in-place update of ``theta`` shows through the views. With tracked
+parameters the forward code builds the training graph; detached, it runs
+as plain numpy. One stage-2 core, ``_stage2``, serves training batches
+(``forward``) and scene tiles (``scene_forward``) alike: over a grid of
+source-pixel ids it runs the stage-1 features (``spectral.pixel_features``)
+once per distinct pixel read and the spatial convolution (with
+``spectral.conv_kernel``, the registry's ``caps.conv.w`` with its
+triangular part folded in) once per distinct position read, and each
+patch's map then goes through the capsule block (``_capsules``: primary
+capsules -> routed class capsules).
 """
 
 import copy
@@ -26,17 +22,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from . import capsule, data, spectral
 from .errors import DataError, NumericError
 
 # Centre rows per tile of ``scene_forward``. Its peak memory follows the
-# tile pixels that the requested patches cover, at most (tile + patch) *
-# (width + patch) of them, each with b + C(b,2) + k^2 * J doubles: its
-# stage-2 conv input and its k x k tap products over J = conv_filters
-# channels. A whole-scene request covers every tile pixel.
+# source pixels under the tile's patches, each with b + C(b,2) + k^2 * J
+# doubles (its stage-2 input and its tap products over J = conv_filters
+# channels), at most (tile + patch) * (width + patch) of them, plus the
+# h1 * h1 * J conv map of each of the tile's centres.
 SCENE_TILE_ROWS = 8
 # Patches per ``forward`` call in predict_lengths, and centres per
 # ``_capsules`` call in scene_forward.
@@ -187,11 +182,10 @@ def forward(model: Model, patches: np.ndarray):
 
     Stage 1 is per pixel, so it runs once per distinct spectrum of the
     batch: rows are deduped by their bytes (overlapping windows and reflect
-    padding repeat pixels). The stage-2 conv is linear per pixel before its
-    spatial sum, so it too multiplies each distinct row's features by its
-    taps once, and reads the (N, s, s) grid of row ids to sum each window.
-    Equal bytes give equal features, so the result is the one a per-row
-    pass would give, up to rounding.
+    padding repeat pixels), and the patches, stacked as an (N * s, s) grid
+    of row ids, go through the stage-2 core ``_stage2``. Equal bytes give
+    equal features, so the result is the one a per-row pass would give, up
+    to rounding.
 
     Args:
         model: tracked or detached model.
@@ -207,14 +201,43 @@ def forward(model: Model, patches: np.ndarray):
         raise DataError(
             f"patch shape {s1}x{s2} does not match model patch size {model.patch_size}"
         )
-    p, cfg = model.params, model.config
     rows = np.ascontiguousarray(patches).reshape(N * s1 * s2, B)
     keys = rows.view(np.dtype((np.void, rows.itemsize * B))).reshape(-1)
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    o = capsule.conv2d_batch(spectral.pixel_features(rows[first], model),
-                             inv.reshape(N, s1, s2), spectral.conv_kernel(model),
-                             p["caps.conv.b"], cfg.stage2.conv_stride)
-    return _capsules(model, o)
+    return _capsules(model, _stage2(model, spectral.conv_kernel(model), rows[first],
+                                    inv.reshape(N * s1, s2), np.arange(N) * (s1 * s2)))
+
+
+def _stage2(model: Model, kernel, values, grid, corners):
+    """Stage-2 conv maps (N, h1, h1, J) of the N patches of the id ``grid``
+    whose top-left positions have the flat indices ``corners`` (N,).
+
+    ``grid`` holds row ids into the (P, B) spectra ``values``. The conv (with
+    ``kernel = spectral.conv_kernel(model)``) runs once per distinct position
+    read, the spectral head and the taps once per distinct row under those,
+    and a one-tap ``ad.window_sum`` picks each patch's h1 x h1 positions.
+    """
+    s2, W = model.config.stage2, grid.shape[1]
+    reach = s2.conv_stride * np.arange((model.patch_size - s2.conv_kernel) // s2.conv_stride + 1)
+    taps = np.arange(s2.conv_kernel)
+    reads = corners[:, None, None] + (W * reach[:, None] + reach)
+    sites = _distinct(reads)
+    under = grid.reshape(-1)[sites[:, None, None] + (W * taps[:, None] + taps)]
+    pixels = _distinct(under)
+    if len(pixels) < len(values):  # else pixels is arange(len(values)): no gather
+        values, under = values[pixels], np.searchsorted(pixels, under)
+    o = capsule.conv2d_batch(spectral.pixel_features(values, model), under, kernel,
+                             model.params["caps.conv.b"], 1)
+    if np.array_equal(sites, reads.reshape(-1)):  # sites already in read order: no pick
+        return ad.reshape(o, reads.shape + ad.shape_of(o)[-1:])
+    picks = np.searchsorted(sites, reads)[..., None]
+    return ad.window_sum(ad.reshape(o, (len(sites), 1, -1)), picks)
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` for integers, without its per-call overhead."""
+    s = np.sort(ids, axis=None)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
 
 
 def _capsules(model: Model, o) -> dict:
@@ -228,55 +251,31 @@ def _capsules(model: Model, o) -> dict:
     return {"poses": poses, "v": v, "lengths": ad.norm(v, axis=-1)}
 
 
-def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_ROWS) -> dict:
+def scene_forward(model: Model, norm_cube, coords) -> dict:
     """Detached poses (N, M, K), v (N, n_class, D) and lengths (N, n_class)
-    of the patches centred on ``coords`` of a normalized cube.
-
-    The fully convolutional form of ``forward`` on every centre's patch.
-    The cube is reflect-padded once, as ``data.extract_patch_batch`` does,
-    so every patch is a window of the same array. Per tile of ``tile_rows``
-    centre rows (plus a patch // 2 halo each side; tiles without a centre
-    are skipped) the spectral head, enhancement and the stage-2 conv's tap
-    products run once per pixel that some centre's patch covers, and the
-    stride-1 conv sums them over the tile's id grid; the folded stage-2
-    kernel is built once per call.
-    Each centre's h1 x h1 window of that map, at the conv stride, is the
-    stage-2 output of its patch, and the windows go through ``forward``'s
-    capsule block. Rows follow ``coords``, duplicates included.
+    of the patches centred on ``coords`` of a normalized cube: ``forward``
+    without the patches. ``_stage2`` reads the cube's rows through
+    ``data.reflect_index``, where the patch centred on (r, c) starts at
+    (r, c), once per tile of ``SCENE_TILE_ROWS`` centre rows that holds a
+    centre; the folded kernel is built once per call, and the capsule block
+    takes ``TAIL_BATCH`` centres at a time. Rows follow ``coords``,
+    duplicates included.
     """
     mdl = model.detached()
-    p, size, stride = mdl.params, mdl.patch_size, mdl.config.stage2.conv_stride
-    width = size - mdl.config.stage2.conv_kernel + 1  # stride-1 conv positions per patch
-    padded = data.reflect_pad(norm_cube, size)
+    grid = data.reflect_index(norm_cube, mdl.patch_size)
+    values = norm_cube.data.reshape(-1, norm_cube.bands)
     rc = data.centre_array(norm_cube, coords)
-    M, n_class, D, K = p["caps.class.w"].shape
+    corners = rc[:, 0] * grid.shape[1] + rc[:, 1]
+    M, n_class, D, K = mdl.params["caps.class.w"].shape
     out = {"poses": np.empty((len(rc), M, K)), "v": np.empty((len(rc), n_class, D)),
            "lengths": np.empty((len(rc), n_class))}
     kernel = spectral.conv_kernel(mdl)
-    span = np.arange(size)
-    tile_of = rc[:, 0] // tile_rows
+    tile_of = rc[:, 0] // SCENE_TILE_ROWS
     for tile in np.unique(tile_of):
         ids = np.flatnonzero(tile_of == tile)
-        r0 = tile * tile_rows
-        rows = padded[r0 : r0 + tile_rows + size - 1]
-        R, W, B = rows.shape
-        # Feature rows only for the pixels that some centre's patch covers,
-        # in row-major order; the other ids stay 0, and no conv position
-        # that a centre reads sums them.
-        top, left = rc[ids, 0] - r0, rc[ids, 1]
-        grid = np.zeros((R, W), dtype=np.intp)
-        grid[(top[:, None] + span)[:, :, None], (left[:, None] + span)[:, None, :]] = 1
-        covered = np.flatnonzero(grid)
-        grid.flat[covered] = np.arange(covered.size)
-        # Cast as pixel_features would, so no float32 copy outlives the cast,
-        # and keep no reference to the features once their taps are taken.
-        o = capsule.conv2d_batch(
-            spectral.pixel_features(rows.reshape(R * W, B)[covered].astype(np.float64), mdl),
-            grid[None], kernel, p["caps.conv.b"], 1)[0]
-        windows = sliding_window_view(o, (width, width), axis=(0, 1))[..., ::stride, ::stride]
-        o_centres = windows[top, left].transpose(0, 2, 3, 1)
+        o = _stage2(mdl, kernel, values, grid, corners[ids])
         for lo in range(0, len(ids), TAIL_BATCH):
-            for key, val in _capsules(mdl, o_centres[lo : lo + TAIL_BATCH]).items():
+            for key, val in _capsules(mdl, o[lo : lo + TAIL_BATCH]).items():
                 out[key][ids[lo : lo + TAIL_BATCH]] = val
     return out
 
@@ -284,8 +283,6 @@ def scene_forward(model: Model, norm_cube, coords, tile_rows: int = SCENE_TILE_R
 def predict_lengths(model: Model, patches: np.ndarray) -> np.ndarray:
     """Class-capsule lengths for many patches using a detached model."""
     detached = model.detached()
-    chunks = []
-    for lo in range(0, patches.shape[0], TAIL_BATCH):
-        out = forward(detached, patches[lo : lo + TAIL_BATCH])
-        chunks.append(np.asarray(out["lengths"]))
-    return np.concatenate(chunks, axis=0)
+    # at least one chunk, so no patches give (0, n_class)
+    return np.concatenate([np.asarray(forward(detached, patches[lo : lo + TAIL_BATCH])["lengths"])
+                           for lo in range(0, max(len(patches), 1), TAIL_BATCH)])

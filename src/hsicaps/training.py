@@ -244,7 +244,7 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
     mdl = build_model(cube, labels, split, config)
     state = AdamState.for_theta(mdl.theta)
 
-    train_patches = data.extract_patch_batch(cube, split.train_indices, tcfg.patch_size)
+    train_rc = data.centre_array(cube, split.train_indices)
     scored = split.train_indices + split.test_indices
     truth = data.pixels_at(labels.labels, scored)
     n_train = len(split.train_indices)
@@ -259,9 +259,10 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
         losses = []
         for batch, lo in enumerate(range(0, n_train, tcfg.batch_size), 1):
             sel = order[lo : lo + tcfg.batch_size]
+            patches = data.extract_patch_batch(cube, train_rc[sel], tcfg.patch_size)
             try:
                 lv, grad = compute_gradients(
-                    lambda: batch_loss(mdl, train_patches[sel], train_labels[sel], tcfg),
+                    lambda: batch_loss(mdl, patches, train_labels[sel], tcfg),
                     mdl.params.values())
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, batch {batch}") from exc

@@ -246,7 +246,7 @@ def brute_windows(x, size, stride):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_unfold_matches_brute_force_windows(rng, stride):
-    # scene_forward hands the capsule block transposed centre windows, every
+    # a transposed, non-contiguous map unfolds like a contiguous one, every
     # slice head's conv1 unfolds a one-channel band axis, and the stage-2
     # conv unfolds an integer grid of row ids into window ids
     cases = [(rng.normal(size=(2, 9, 3)), (4,)), (rng.normal(size=(2, 6, 7, 2)), (3, 3)),

@@ -182,9 +182,32 @@ def test_patch_batch_is_contiguous_float64_window_of_reflect_pad(rng, shape, siz
     patches = data.extract_patch_batch(cube, coords, size)
     assert patches.dtype == np.float64 and patches.flags.c_contiguous
     assert patches.shape == (len(coords), size, size, shape[2])
-    padded = data.reflect_pad(cube, size)
+    pad = size // 2
+    padded = np.pad(cube.data, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
     for (r, c), patch in zip(coords, patches):
         np.testing.assert_array_equal(patch, padded[r : r + size, c : c + size])
+
+
+def mirrored(i, n):
+    """Image index that reflect padding shows at index ``i`` of an axis of ``n``."""
+    period = max(2 * (n - 1), 1)
+    i %= period
+    return min(i, period - i)
+
+
+@pytest.mark.parametrize("shape, size", [((6, 5), 3), ((2, 3), 5), ((1, 4), 3), ((3, 2), 7)])
+def test_reflect_index_is_the_reflect_padded_id_grid(shape, size):
+    # all but the first scene are narrower than the pad on some axis, so
+    # their padding reflects more than once (or repeats a single row)
+    cube = make_cube(np.zeros(shape + (1,), dtype=np.float32), [500.0])
+    grid = data.reflect_index(cube, size)
+    ids = np.arange(shape[0] * shape[1]).reshape(shape)
+    np.testing.assert_array_equal(grid, np.pad(ids, size // 2, mode="reflect"))
+    pad = size // 2
+    for i, j in np.ndindex(grid.shape):
+        assert grid[i, j] == mirrored(i - pad, shape[0]) * shape[1] + mirrored(j - pad, shape[1])
+    with pytest.raises(DataError, match="odd"):
+        data.reflect_index(cube, size + 1)
 
 
 def test_patch_label_matches_center(small_cube, small_labels):

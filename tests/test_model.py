@@ -5,6 +5,7 @@ import math
 import tracemalloc
 
 import numpy as np
+from test_data import mirrored
 
 from hsicaps import autodiff as ad
 from hsicaps import data, model as model_mod, spectral, training
@@ -431,86 +432,101 @@ def test_capsule_block_peak_memory_is_below_the_prediction_product(small_cube):
     assert peak < 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
-def test_scene_forward_equals_patch_forward_everywhere():
+def tiled(monkeypatch, tile_rows):
+    """``scene_forward`` under tiles of ``tile_rows`` centre rows."""
+    monkeypatch.setattr(model_mod, "SCENE_TILE_ROWS", tile_rows)
+    return model_mod.scene_forward
+
+
+def test_scene_forward_equals_patch_forward_everywhere(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
     coords = all_pixels(cube)  # corners and edges included
-    assert_same_outputs(model_mod.scene_forward(mdl, cube, coords, tile_rows=3),
+    assert_same_outputs(tiled(monkeypatch, 3)(mdl, cube, coords),
                         patch_path(mdl, cube, coords))
 
 
-def test_scene_forward_independent_of_tile_size():
+def test_scene_forward_independent_of_tile_size(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
     coords = all_pixels(cube)
-    whole = model_mod.scene_forward(mdl, cube, coords, tile_rows=cube.height)
+    whole = tiled(monkeypatch, cube.height)(mdl, cube, coords)
     for tile_rows in (1, 2, 3):
-        assert_same_outputs(model_mod.scene_forward(mdl, cube, coords, tile_rows), whole)
+        assert_same_outputs(tiled(monkeypatch, tile_rows)(mdl, cube, coords), whole)
 
 
-def test_scene_forward_sparse_coords_keep_their_order():
+def test_scene_forward_sparse_coords_keep_their_order(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
     coords = [(7, 7), (0, 0), (3, 5), (0, 0), (7, 0), (3, 5), (1, 6)]
-    got = model_mod.scene_forward(mdl, cube, coords, tile_rows=2)
+    got = tiled(monkeypatch, 2)(mdl, cube, coords)
     assert_same_outputs(got, patch_path(mdl, cube, coords))
     np.testing.assert_array_equal(got["lengths"][1], got["lengths"][3])
 
 
-def test_scene_forward_on_scene_narrower_than_patch():
+def test_scene_forward_on_scene_narrower_than_patch(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
     # a 3x2 crop under a 5-wide patch: the pad of 2 reflects more than once
     narrow = data.HsiCube(3, 2, cube.bands, cube.wavelengths, cube.data[2:5, 4:6].copy())
     coords = all_pixels(narrow)
     for tile_rows in (1, 3):
-        assert_same_outputs(model_mod.scene_forward(mdl, narrow, coords, tile_rows),
+        assert_same_outputs(tiled(monkeypatch, tile_rows)(mdl, narrow, coords),
                             patch_path(mdl, narrow, coords))
 
 
-def test_scene_forward_with_stride_two_stages():
+def test_scene_forward_with_stride_two_stages(monkeypatch):
     cube, mdl = strided_setup()
     coords = all_pixels(cube)
     want = patch_path(mdl, cube, coords)
     assert want["poses"].shape[1] == mdl.config.stage2.capsules * 2 * 2
     for tile_rows in (1, 3, cube.height):
-        assert_same_outputs(model_mod.scene_forward(mdl, cube, coords, tile_rows), want)
+        assert_same_outputs(tiled(monkeypatch, tile_rows)(mdl, cube, coords), want)
 
 
-def test_scene_forward_with_enhancement_off():
+def test_scene_forward_with_enhancement_off(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
     cfg.training.enhancement_on = False
     mdl2 = training.build_model(cube, labels, data.split_samples(labels, 0.5, 3), cfg)
     coords = all_pixels(cube)
-    assert_same_outputs(model_mod.scene_forward(mdl2, cube, coords, tile_rows=2),
+    assert_same_outputs(tiled(monkeypatch, 2)(mdl2, cube, coords),
                         patch_path(mdl2, cube, coords))
 
 
-def test_scene_forward_empty_and_out_of_image_coords():
+def test_scene_forward_empty_and_out_of_image_coords(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
-    empty = model_mod.scene_forward(mdl, cube, [], tile_rows=2)
+    empty = tiled(monkeypatch, 2)(mdl, cube, [])
     want = patch_path(mdl, cube, [(0, 0)])
     for key in ("poses", "v", "lengths"):
         assert empty[key].shape == (0,) + want[key].shape[1:]
     try:
-        model_mod.scene_forward(mdl, cube, [(0, 0), (8, 0)], tile_rows=2)
+        tiled(monkeypatch, 2)(mdl, cube, [(0, 0), (8, 0)])
     except Exception as exc:
         assert "outside" in str(exc)
     else:
         raise AssertionError("expected an out-of-image error")
 
 
-# scene tiles compute only the pixels that a requested patch covers ---------
+# scene tiles compute only the pixels and positions that a requested patch reads
 
 # Four corners, an interior centre and an edge centre, spread over the rows.
 SPARSE = [(0, 0), (7, 7), (3, 4), (0, 7), (7, 0), (5, 2)]
 
 
-def covered_spectra(cube, coords, size, tile_rows):
-    """Per tile with a centre, in tile order: the padded spectra that some
-    centre's patch covers, in row-major order over the tile."""
-    padded = data.reflect_pad(cube, size)
+def tiles_of(coords, tile_rows):
+    """Centres grouped per tile of ``tile_rows`` rows, in tile order."""
     tiles = {}
     for r, c in coords:
-        cells = tiles.setdefault(r // tile_rows, set())
-        cells.update(itertools.product(range(r, r + size), range(c, c + size)))
-    return [padded[tuple(np.array(sorted(cells)).T)] for _, cells in sorted(tiles.items())]
+        tiles.setdefault(r // tile_rows, []).append((r, c))
+    return [centres for _, centres in sorted(tiles.items())]
+
+
+def covered_spectra(cube, coords, size, tile_rows):
+    """Per tile with a centre, in tile order: the spectra of the distinct
+    source pixels that some centre's patch covers, in pixel-id order. A
+    mirrored position is the pixel it mirrors, so it counts once."""
+    pad, out = size // 2, []
+    for centres in tiles_of(coords, tile_rows):
+        cells = {(mirrored(r + i, cube.height), mirrored(c + j, cube.width))
+                 for r, c in centres for i in range(-pad, pad + 1) for j in range(-pad, pad + 1)}
+        out.append(cube.data[tuple(np.array(sorted(cells)).T)])
+    return out
 
 
 def test_scene_forward_runs_the_spectral_head_on_covered_pixels_only(monkeypatch):
@@ -520,12 +536,37 @@ def test_scene_forward_runs_the_spectral_head_on_covered_pixels_only(monkeypatch
                         lambda pixels, m: seen.append(np.array(pixels)) or real(pixels, m))
     for tile_rows in (1, 2, 3, cube.height):
         seen.clear()
-        got = model_mod.scene_forward(mdl, cube, SPARSE, tile_rows)
+        got = tiled(monkeypatch, tile_rows)(mdl, cube, SPARSE)
         want = covered_spectra(cube, SPARSE, mdl.patch_size, tile_rows)
         assert [len(rows) for rows in seen] == [len(rows) for rows in want]
         for rows, spectra in zip(seen, want):
             np.testing.assert_array_equal(rows, spectra)
         assert_same_outputs(got, patch_path(mdl, cube, SPARSE))
+
+
+def test_scene_forward_runs_the_conv_once_per_read_position(monkeypatch):
+    """Per tile, the stage-2 conv's ``window_sum`` (the call that sums k * k
+    taps) has one row per distinct position that some centre's h1 x h1
+    window reads, in padded coordinates, where the patch centred on (r, c)
+    starts at (r, c)."""
+    cube, labels, cfg, mdl = tiny_setup()
+    k = cfg.stage2.conv_kernel
+    h1 = mdl.patch_size - k + 1
+    rows, real = [], ad.window_sum
+
+    def counted(y, windows):
+        out = real(y, windows)
+        if windows.shape[-1] == k * k:
+            rows.append(ad.shape_of(out)[0])
+        return out
+
+    monkeypatch.setattr(ad, "window_sum", counted)
+    for tile_rows in (1, 2, 3, cube.height):
+        rows.clear()
+        tiled(monkeypatch, tile_rows)(mdl, cube, SPARSE)
+        assert rows == [len({(r + a, c + b) for r, c in centres
+                             for a in range(h1) for b in range(h1)})
+                        for centres in tiles_of(SPARSE, tile_rows)]
 
 
 def test_scene_forward_memory_follows_the_covered_pixels_not_the_width():
@@ -551,3 +592,15 @@ def test_scene_forward_memory_follows_the_covered_pixels_not_the_width():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+
+def test_empty_requests_give_empty_outputs():
+    cube, labels, cfg, mdl = tiny_setup()
+    patches = data.extract_patch_batch(cube, [], 5)
+    assert patches.shape == (0, 5, 5, cube.bands) and patches.dtype == np.float64
+    want = patch_path(mdl, cube, [(0, 0)])
+    for out in (model_mod.forward(mdl, patches), model_mod.forward(mdl.detached(), patches),
+                model_mod.scene_forward(mdl, cube, [])):
+        for key in ("poses", "v", "lengths"):
+            assert ad.shape_of(out[key]) == (0,) + want[key].shape[1:]
+    assert model_mod.predict_lengths(mdl, patches).shape == (0, mdl.n_class)

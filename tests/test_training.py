@@ -1,6 +1,7 @@
 """Losses, decoder, Adam, gradients, the loop and checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -599,3 +600,28 @@ def test_checkpoint_round_trip_ablation_variants(tmp_path, tiny_dataset):
         assert loaded_cfg.training.enhancement_on is enh
         np.testing.assert_array_equal(training.predict_map(result.model, cube),
                                       training.predict_map(loaded, cube))
+
+
+def test_train_memory_does_not_grow_with_the_training_set():
+    """One epoch on a fully labelled 24 x 24, 60-band scene at train
+    fractions 0.1 (57 pixels) and 0.8 (462). Both runs score the same 576
+    pixels after the epoch, so only the training set differs. A stack of
+    every training patch, (n_train, 7, 7, 60) doubles, would make the
+    second peak 405 * 49 * 60 * 8 bytes = 9.1 MiB higher; one 32-patch
+    batch is 0.7 MiB. The margin of 4 MiB leaves room for the split's
+    own per-pixel bookkeeping."""
+    cube, labels = synthetic.make_separable_cube(24, 24, 60, 3)
+    cfg = training.gradcheck_config()
+    cfg.training.patch_size = 7
+    cfg.validate()
+    peaks = []
+    for fraction in (0.1, 0.8):
+        split = data.split_samples(labels, fraction, 0)
+        tracemalloc.start()
+        try:
+            training.train(cube, labels, split, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    gap = (peaks[1] - peaks[0]) / 2**20
+    assert gap < 4, f"peak grew by {gap:.1f} MiB with the training set"
