@@ -11,9 +11,9 @@ both routing contractions are batched matmuls (``ad.matmul`` with a stack
 of right matrices), so no (N, M, n_class, D, K) product is formed. Every
 routine is batched over a leading sample axis and takes its weights as
 arguments (plain arrays or autodiff tensors); the model passes them in from
-its parameter registry. Training batches and scene tiles reach
-``conv2d_batch`` only through the model's one stage-2 core
-(``model._stage2``), and everything after it is one capsule block
+its parameter registry. Training batches (``model.forward``) and scene
+tiles (``model.scene_forward``) each call ``conv2d_batch`` on their own
+id grid, and everything after it is one capsule block
 (``model._capsules``).
 """
 

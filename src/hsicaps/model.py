@@ -7,14 +7,15 @@ order at init, the gradient's and Adam's layout and the checkpoint blob.
 tracked Tensor in training and a plain array when detached, so every
 in-place update of ``theta`` shows through the views. With tracked
 parameters the forward code builds the training graph; detached, it runs
-as plain numpy. One stage-2 core, ``_stage2``, serves training batches
-(``forward``) and scene tiles (``scene_forward``) alike: over a grid of
-source-pixel ids it runs the stage-1 features (``spectral.pixel_features``)
-once per distinct pixel read and the spatial convolution (with
+as plain numpy. ``forward`` (training batches) and ``scene_forward``
+(scene tiles) share the stage-2 parts: the stage-1 features
+(``spectral.pixel_features``) of distinct pixels, the spatial convolution
+over a grid of ids into them (``capsule.conv2d_batch`` with
 ``spectral.conv_kernel``, the registry's ``caps.conv.w`` with its
-triangular part folded in) once per distinct position read, and each
-patch's map then goes through the capsule block (``_capsules``: primary
-capsules -> routed class capsules).
+triangular part folded in) and the capsule block (``_capsules``: primary
+capsules -> routed class capsules). Each builds its own id grid: a batch
+dedups its rows by their bytes, and a tile reads the cube's source pixels
+under the conv positions that its centres read.
 """
 
 import copy
@@ -30,11 +31,11 @@ from .errors import DataError, NumericError
 # Centre rows per tile of ``scene_forward``. Its peak memory follows the
 # source pixels under the tile's patches, each with b + C(b,2) + k^2 * J
 # doubles (its stage-2 input and its tap products over J = conv_filters
-# channels), at most (tile + patch) * (width + patch) of them, plus the
-# h1 * h1 * J conv map of each of the tile's centres.
+# channels), at most (tile + patch) * (width + patch) of them, plus J
+# doubles per conv position that a centre reads.
 SCENE_TILE_ROWS = 8
 # Patches per ``forward`` call in predict_lengths, and centres per
-# ``_capsules`` call in scene_forward.
+# ``_capsules`` call (and per pick of h1 * h1 * J conv maps) in scene_forward.
 TAIL_BATCH = 64
 
 
@@ -182,10 +183,10 @@ def forward(model: Model, patches: np.ndarray):
 
     Stage 1 is per pixel, so it runs once per distinct spectrum of the
     batch: rows are deduped by their bytes (overlapping windows and reflect
-    padding repeat pixels), and the patches, stacked as an (N * s, s) grid
-    of row ids, go through the stage-2 core ``_stage2``. Equal bytes give
-    equal features, so the result is the one a per-row pass would give, up
-    to rounding.
+    padding repeat pixels), and the stage-2 conv reads the patches as an
+    (N, s, s) grid of ids into those rows at the conv stride. Equal bytes
+    give equal features, so the result is the one a per-row pass would
+    give, up to rounding.
 
     Args:
         model: tracked or detached model.
@@ -204,40 +205,10 @@ def forward(model: Model, patches: np.ndarray):
     rows = np.ascontiguousarray(patches).reshape(N * s1 * s2, B)
     keys = rows.view(np.dtype((np.void, rows.itemsize * B))).reshape(-1)
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    return _capsules(model, _stage2(model, spectral.conv_kernel(model), rows[first],
-                                    inv.reshape(N * s1, s2), np.arange(N) * (s1 * s2)))
-
-
-def _stage2(model: Model, kernel, values, grid, corners):
-    """Stage-2 conv maps (N, h1, h1, J) of the N patches of the id ``grid``
-    whose top-left positions have the flat indices ``corners`` (N,).
-
-    ``grid`` holds row ids into the (P, B) spectra ``values``. The conv (with
-    ``kernel = spectral.conv_kernel(model)``) runs once per distinct position
-    read, the spectral head and the taps once per distinct row under those,
-    and a one-tap ``ad.window_sum`` picks each patch's h1 x h1 positions.
-    """
-    s2, W = model.config.stage2, grid.shape[1]
-    reach = s2.conv_stride * np.arange((model.patch_size - s2.conv_kernel) // s2.conv_stride + 1)
-    taps = np.arange(s2.conv_kernel)
-    reads = corners[:, None, None] + (W * reach[:, None] + reach)
-    sites = _distinct(reads)
-    under = grid.reshape(-1)[sites[:, None, None] + (W * taps[:, None] + taps)]
-    pixels = _distinct(under)
-    if len(pixels) < len(values):  # else pixels is arange(len(values)): no gather
-        values, under = values[pixels], np.searchsorted(pixels, under)
-    o = capsule.conv2d_batch(spectral.pixel_features(values, model), under, kernel,
-                             model.params["caps.conv.b"], 1)
-    if np.array_equal(sites, reads.reshape(-1)):  # sites already in read order: no pick
-        return ad.reshape(o, reads.shape + ad.shape_of(o)[-1:])
-    picks = np.searchsorted(sites, reads)[..., None]
-    return ad.window_sum(ad.reshape(o, (len(sites), 1, -1)), picks)
-
-
-def _distinct(ids: np.ndarray) -> np.ndarray:
-    """``np.unique(ids)`` for integers, without its per-call overhead."""
-    s = np.sort(ids, axis=None)
-    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+    o = capsule.conv2d_batch(spectral.pixel_features(rows[first], model), inv.reshape(N, s1, s2),
+                             spectral.conv_kernel(model), model.params["caps.conv.b"],
+                             model.config.stage2.conv_stride)
+    return _capsules(model, o)
 
 
 def _capsules(model: Model, o) -> dict:
@@ -254,18 +225,24 @@ def _capsules(model: Model, o) -> dict:
 def scene_forward(model: Model, norm_cube, coords) -> dict:
     """Detached poses (N, M, K), v (N, n_class, D) and lengths (N, n_class)
     of the patches centred on ``coords`` of a normalized cube: ``forward``
-    without the patches. ``_stage2`` reads the cube's rows through
+    without the patches. The cube's rows are read through
     ``data.reflect_index``, where the patch centred on (r, c) starts at
     (r, c), once per tile of ``SCENE_TILE_ROWS`` centre rows that holds a
-    centre; the folded kernel is built once per call, and the capsule block
-    takes ``TAIL_BATCH`` centres at a time. Rows follow ``coords``,
-    duplicates included.
+    centre. Per tile the spectral head runs once per distinct source pixel
+    under the conv positions that the tile's centres read, and the conv,
+    with the kernel folded once per call, once per such position
+    (Graham and van der Maaten, arXiv:1706.01307). The capsule block takes
+    ``TAIL_BATCH`` centres at a time, each picking its h1 x h1 conv map
+    from the tile's positions. Rows follow ``coords``, duplicates included.
     """
     mdl = model.detached()
     grid = data.reflect_index(norm_cube, mdl.patch_size)
     values = norm_cube.data.reshape(-1, norm_cube.bands)
     rc = data.centre_array(norm_cube, coords)
-    corners = rc[:, 0] * grid.shape[1] + rc[:, 1]
+    s2, W = mdl.config.stage2, grid.shape[1]
+    corners = rc[:, 0] * W + rc[:, 1]
+    reach = s2.conv_stride * np.arange((mdl.patch_size - s2.conv_kernel) // s2.conv_stride + 1)
+    taps = np.arange(s2.conv_kernel)
     M, n_class, D, K = mdl.params["caps.class.w"].shape
     out = {"poses": np.empty((len(rc), M, K)), "v": np.empty((len(rc), n_class, D)),
            "lengths": np.empty((len(rc), n_class))}
@@ -273,9 +250,16 @@ def scene_forward(model: Model, norm_cube, coords) -> dict:
     tile_of = rc[:, 0] // SCENE_TILE_ROWS
     for tile in np.unique(tile_of):
         ids = np.flatnonzero(tile_of == tile)
-        o = _stage2(mdl, kernel, values, grid, corners[ids])
+        reads = corners[ids, None, None] + (W * reach[:, None] + reach)
+        sites, picks = np.unique(reads, return_inverse=True)
+        under = grid.reshape(-1)[sites[:, None, None] + (W * taps[:, None] + taps)]
+        pixels, inv = np.unique(under, return_inverse=True)
+        o = capsule.conv2d_batch(spectral.pixel_features(values[pixels], mdl),
+                                 inv.reshape(under.shape), kernel, mdl.params["caps.conv.b"], 1)
+        # np.unique's inverse is flat or input-shaped depending on the numpy release
+        o, picks = o.reshape(len(sites), -1), picks.reshape(reads.shape)
         for lo in range(0, len(ids), TAIL_BATCH):
-            for key, val in _capsules(mdl, o[lo : lo + TAIL_BATCH]).items():
+            for key, val in _capsules(mdl, o[picks[lo : lo + TAIL_BATCH]]).items():
                 out[key][ids[lo : lo + TAIL_BATCH]] = val
     return out
 

@@ -237,8 +237,10 @@ def test_forward_batch_equals_each_patch_alone(monkeypatch):
 
 
 def test_forward_gradient_equals_per_row_reference(monkeypatch):
-    for cube, labels, cfg, mdl in (tiny_setup(), tiny_setup(n_class=3, tri_cap=25)):
-        patches = data.extract_patch_batch(cube, OVERLAPPING, 5)
+    strided_cube, strided = strided_setup()  # tiny_setup's scene and labels, stride-2 convs
+    for cube, labels, cfg, mdl in (tiny_setup(), tiny_setup(n_class=3, tri_cap=25),
+                                   (strided_cube, tiny_setup()[1], strided.config, strided)):
+        patches = data.extract_patch_batch(cube, OVERLAPPING, mdl.patch_size)
         targets = data.pixels_at(labels.labels, OVERLAPPING)
         shapes = [t.data.shape for t in mdl.params.values()]
 
@@ -480,6 +482,19 @@ def test_scene_forward_with_stride_two_stages(monkeypatch):
         assert_same_outputs(tiled(monkeypatch, tile_rows)(mdl, cube, coords), want)
 
 
+def test_scene_forward_independent_of_tail_batch(monkeypatch):
+    """Each ``TAIL_BATCH`` chunk picks its centres' conv maps from the tile's
+    positions; chunks that split a tile, and centres requested twice, give
+    the outputs of one chunk per tile."""
+    cube, labels, cfg, mdl = tiny_setup()
+    coords = all_pixels(cube) + [(3, 3), (0, 0), (7, 7), (3, 3)]
+    want = tiled(monkeypatch, cube.height)(mdl, cube, coords)
+    assert_same_outputs(want, patch_path(mdl, cube, coords))
+    for tail, tile_rows in itertools.product((1, 3, 7), (1, 3)):
+        monkeypatch.setattr(model_mod, "TAIL_BATCH", tail)
+        assert_same_outputs(tiled(monkeypatch, tile_rows)(mdl, cube, coords), want)
+
+
 def test_scene_forward_with_enhancement_off(monkeypatch):
     cube, labels, cfg, mdl = tiny_setup()
     cfg.training.enhancement_on = False
@@ -592,6 +607,28 @@ def test_scene_forward_memory_follows_the_covered_pixels_not_the_width():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+
+def test_predict_map_memory_picks_conv_maps_per_chunk():
+    """A whole 16 x 288, 60-band, three-class scene under an untrained
+    default-config model. Each 8-row tile's 2,304 centres read 12 x 292
+    conv positions; their own 5 x 5 maps over 32 channels would be 14.1
+    MiB per tile if held at once, so ``scene_forward`` picks them per
+    ``TAIL_BATCH`` chunk. Holding them per tile peaked at 68.4 MiB."""
+    rng = np.random.default_rng(13)
+    wavelengths = tuple(np.linspace(430.0, 860.0, 60))
+    cube = data.HsiCube(16, 288, 60, wavelengths,
+                        rng.uniform(0.0, 1.0, size=(16, 288, 60)).astype(np.float32))
+    labels = data.LabelMap(16, 288, rng.integers(1, 4, size=(16, 288)), 3)
+    cfg = RunConfig()
+    mdl = training.build_model(cube, labels, data.split_samples(labels, 0.5, 3), cfg)
+    tracemalloc.start()
+    try:
+        training.predict_map(mdl, cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
 def test_empty_requests_give_empty_outputs():
