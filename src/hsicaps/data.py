@@ -5,6 +5,10 @@ Cube container format: a UTF-8 JSON header
 wavelengths_nm:[...], data_file:"<relative path>"}`` next to a raw file
 of little-endian float32, band-interleaved-by-pixel, row-major.
 
+A ``BandSliceSet`` holds only the wavelength intervals that hold at least
+one cube band, each with its band indices: ``segment_bands`` drops the
+empty intervals of ``DEFAULT_SLICES`` (or of ``WHOLE_SPECTRUM``, with
+segmentation off), so slice ``i`` is the model's i-th spectral head.
 Patches are gathered through ``reflect_index``, the mirror-padded grid of
 source-pixel ids, so no padded copy of the spectra is made.
 Cubes, label maps, slice sets and splits are frozen after construction
@@ -30,6 +34,8 @@ DEFAULT_SLICES = (
     ("red-edge3", 750.0, 790.0),
     ("nir", 790.0, math.inf),
 )
+# The one interval of a run with segmentation off.
+WHOLE_SPECTRUM = (("full", -math.inf, math.inf),)
 
 
 def _freeze(a):
@@ -94,13 +100,15 @@ def labelmap_from_array(labels) -> LabelMap:
 
 @dataclass(frozen=True)
 class BandSliceSet:
-    """Ordered wavelength intervals plus, once segmented, the cube band
-    indices falling inside each interval."""
+    """Ordered wavelength intervals that each hold at least one cube band,
+    with the indices of the bands inside each interval."""
 
     slices: tuple  # of (name, lower_nm, upper_nm)
-    band_indices: tuple = None  # of int tuples, parallel to slices
+    band_indices: tuple  # of non-empty int tuples, parallel to slices
 
     def __post_init__(self):
+        if not self.slices:
+            raise DataError("no band overlaps slice specification")
         prev_hi = -math.inf
         for name, lo, hi in self.slices:
             if lo >= hi:
@@ -108,23 +116,6 @@ class BandSliceSet:
             if lo < prev_hi:
                 raise DataError(f"slice {name!r} overlaps its predecessor")
             prev_hi = hi
-
-    def non_empty(self):
-        """(name, band index tuple) for every slice holding >= 1 band."""
-        if self.band_indices is None:
-            raise DataError("slice set has not been segmented against a cube")
-        return [
-            (s[0], idx) for s, idx in zip(self.slices, self.band_indices) if idx
-        ]
-
-
-def default_band_slices() -> BandSliceSet:
-    return BandSliceSet(DEFAULT_SLICES)
-
-
-def whole_spectrum_slices() -> BandSliceSet:
-    """Single slice covering every band (segmentation disabled)."""
-    return BandSliceSet((("full", -math.inf, math.inf),))
 
 
 @dataclass(frozen=True)
@@ -204,11 +195,6 @@ def load_cube(header_path: str) -> HsiCube:
     wavelengths = tuple(float(x) for x in listed)
     if not isinstance(header["data_file"], str):
         raise DataError("cube header data_file must be a file name")
-    if len(wavelengths) != b:
-        raise DataError(
-            f"wavelength count mismatch: header declares {b} bands "
-            f"but lists {len(wavelengths)} wavelengths"
-        )
     data_path = os.path.join(os.path.dirname(header_path) or ".", header["data_file"])
     if not os.path.exists(data_path):
         raise DataError(f"cube data file not found: {data_path}")
@@ -272,18 +258,13 @@ def normalize_cube(cube: HsiCube) -> HsiCube:
                    np.ascontiguousarray(out))
 
 
-def segment_bands(cube: HsiCube, spec: BandSliceSet) -> BandSliceSet:
-    """Assign each cube band to the slice whose interval contains its
-    wavelength (lower-inclusive, upper-exclusive)."""
-    assigned = []
-    for _, lo, hi in spec.slices:
-        idx = tuple(
-            i for i, w in enumerate(cube.wavelengths) if lo <= w < hi
-        )
-        assigned.append(idx)
-    if not any(assigned):
-        raise DataError("no band overlaps slice specification")
-    return BandSliceSet(spec.slices, tuple(assigned))
+def segment_bands(cube: HsiCube, intervals: tuple) -> BandSliceSet:
+    """The (name, lower_nm, upper_nm) ``intervals`` that hold at least one
+    cube band, each with the bands whose wavelength it contains
+    (lower-inclusive, upper-exclusive)."""
+    pairs = [(s, tuple(i for i, w in enumerate(cube.wavelengths) if s[1] <= w < s[2]))
+             for s in intervals]
+    return BandSliceSet(tuple(s for s, idx in pairs if idx), tuple(idx for _, idx in pairs if idx))
 
 
 def reflect_index(cube: HsiCube, size: int) -> np.ndarray:
@@ -339,7 +320,6 @@ def split_samples(labels: LabelMap, train_fraction: float, seed: int) -> SampleS
     train, test = [], []
     for cls in classes:
         coords = [tuple(int(v) for v in rc) for rc in np.argwhere(lab == cls)]
-        coords.sort()
         rng.shuffle(coords)
         count = len(coords)
         n_train = int(math.floor(train_fraction * count + 0.5))

@@ -42,7 +42,7 @@ TAIL_BATCH = 64
 def param_spec(slices, n_class: int, config, tri_cap: int = None) -> list:
     """Ordered (name, shape, fan_in, fan_out) of every parameter.
 
-    ``slices`` must already be segmented; slices holding fewer bands than
+    ``slices`` is a ``data.BandSliceSet``; slices holding fewer bands than
     the two valid convolutions need get the dense fallback head.
     ``tri_cap`` is the number of kept triangular features (None keeps
     every triple). Biases carry no fans.
@@ -55,8 +55,7 @@ def param_spec(slices, n_class: int, config, tri_cap: int = None) -> list:
         if bias:
             spec.append((f"{name}.b", shape[:1] if bias is True else bias, None, None))
 
-    heads = slices.non_empty()
-    for i, (_, bands) in enumerate(heads):
+    for i, bands in enumerate(slices.band_indices):
         pre, L = f"spectral.{i}", len(bands)
         if L < max(spectral.MIN_CONV_BANDS, s1.conv1_width + s1.conv2_width):
             add(f"{pre}.dense", (s1.small_slice_width, L), L, s1.small_slice_width)
@@ -70,17 +69,14 @@ def param_spec(slices, n_class: int, config, tri_cap: int = None) -> list:
             width = ((l1 - s1.conv2_width) // s1.stride + 1) * s1.conv2_filters
         add(f"{pre}.fc1", (s1.fc1_width, width), width, s1.fc1_width)
         add(f"{pre}.fc2", (n_class, s1.fc1_width), s1.fc1_width, n_class)
-    if not heads:
-        raise DataError("no band overlaps slice specification")
-
-    f_n = len(heads) * n_class
+    f_n = len(slices.slices) * n_class
     if tcfg.enhancement_on:
         if f_n < 3:
             raise DataError(
                 f"enhancement needs >= 3 base features, got {f_n}; "
                 "use more slices or classes, or disable enhancement"
             )
-        f_n = spectral.feature_count(len(heads), n_class, tri_cap)
+        f_n = spectral.feature_count(len(slices.slices), n_class, tri_cap)
     k1, k2 = s2.conv_kernel, s2.capsule_kernel
     h1 = (tcfg.patch_size - k1) // s2.conv_stride + 1
     if h1 < k2:
@@ -130,7 +126,7 @@ class Model:
     theta: np.ndarray  # every parameter, flat float64, in param_spec order
     params: dict  # name -> view of theta (Tensor or array), in param_spec order
     config: object  # RunConfig
-    slices: object  # segmented BandSliceSet
+    slices: object  # data.BandSliceSet
     n_class: int
     tri_combos: object = None  # (S, 3) int array, or None for all triples
 

@@ -112,11 +112,11 @@ def _slice_features(pixels, p, prefix, stride):
 def base_features(pixels, model):
     """Concatenated per-slice features: (P, B) array -> (P, n_slices * n_class).
 
-    ``model`` supplies the registry, the segmented slices and the stage-1
+    ``model`` supplies the registry, the band slices and the stage-1
     stride; only its ``spectral.*`` parameters are read.
     """
     parts = []
-    for i, (_, bands) in enumerate(model.slices.non_empty()):
+    for i, bands in enumerate(model.slices.band_indices):
         sliced = pixels[:, np.asarray(bands, dtype=np.intp)]
         parts.append(_slice_features(sliced, model.params, f"spectral.{i}",
                                      model.config.stage1.stride))
@@ -242,7 +242,7 @@ def conv_kernel(model):
     w = model.params["caps.conv.w"]
     if not model.config.training.enhancement_on:
         return w
-    b = len(model.slices.non_empty()) * model.n_class
+    b = len(model.slices.slices) * model.n_class
     n, tri, wv = b + math.comb(b, 2), triangular_matrix(b, model.tri_combos), ad.value(w)
     kernel = np.concatenate([wv[..., :b] + ad.matmul(wv[..., n:], tri.T), wv[..., b:n]], -1)
 

@@ -184,11 +184,6 @@ def adam_step(theta, grad, state: AdamState, cfg) -> AdamState:
 # model construction helpers -------------------------------------------
 
 
-def _segmented_slices(cube: data.HsiCube, tcfg) -> data.BandSliceSet:
-    spec = data.default_band_slices() if tcfg.segmentation_on else data.whole_spectrum_slices()
-    return data.segment_bands(cube, spec)
-
-
 def build_model(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
                 config: RunConfig) -> model_mod.Model:
     """Seeded model for a dataset, fitting the triangular cap if needed.
@@ -198,8 +193,9 @@ def build_model(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSpl
     is frozen for the rest of the run.
     """
     tcfg = config.training
-    slices = _segmented_slices(cube, tcfg)
-    base = len(slices.non_empty()) * labels.n_class
+    slices = data.segment_bands(
+        cube, data.DEFAULT_SLICES if tcfg.segmentation_on else data.WHOLE_SPECTRUM)
+    base = len(slices.slices) * labels.n_class
     cap = config.stage1.resolve_cap(labels.n_class) if tcfg.enhancement_on else None
     if cap is not None and cap >= math.comb(base, 3):
         cap = None
@@ -362,11 +358,13 @@ def _manifest_fields(manifest) -> tuple:
         config = config_from_dict(manifest["config"])
     except ConfigError as exc:
         raise DataError(f"malformed checkpoint manifest: config: {exc}") from exc
-    slices = data.BandSliceSet(tuple(map(tuple, slices)), tuple(map(tuple, indices)))
+    # Older checkpoints also list the slices that hold no band; they add no head.
+    slices = data.BandSliceSet(tuple(tuple(s) for s, ix in zip(slices, indices) if ix),
+                               tuple(tuple(ix) for ix in indices if ix))
     tri = manifest["tri_combos"]
     if tri is None:
         return config, slices, n_class, None
-    b = len(slices.non_empty()) * n_class
+    b = len(slices.slices) * n_class
     try:
         tri = np.asarray(tri)
     except ValueError:  # ragged rows

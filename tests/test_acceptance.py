@@ -223,7 +223,7 @@ def multiply_adds_per_patch(mdl):
     without enhancement."""
     p, s1, s2 = mdl.detached().params, mdl.config.stage1, mdl.config.stage2
     per_pixel = 0
-    for i, (_, bands) in enumerate(mdl.slices.non_empty()):
+    for i, bands in enumerate(mdl.slices.band_indices):
         pre = f"spectral.{i}"
         if f"{pre}.dense.w" in p:
             per_pixel += p[f"{pre}.dense.w"].size

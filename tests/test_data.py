@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicaps import data
+from hsicaps import data, training
 from hsicaps.errors import DataError
 
 
@@ -115,21 +115,20 @@ def test_normalize_range_property(rng):
 
 def test_segment_hand_assignment():
     cube = make_cube(np.zeros((1, 1, 4), dtype=np.float32), [480.0, 550.0, 700.0, 900.0])
-    seg = data.segment_bands(cube, data.default_band_slices())
+    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
     by_name = {name: idx for (name, _, _), idx in zip(seg.slices, seg.band_indices)}
     assert by_name["blue"] == (0,)
     assert by_name["green"] == (1,)
     assert by_name["red-edge1"] == (2,)
     assert by_name["nir"] == (3,)
-    assert by_name["red"] == ()
-    assert by_name["red-edge2"] == ()
-    assert by_name["red-edge3"] == ()
+    # red, red-edge2 and red-edge3 hold no band, so the set leaves them out
+    assert list(by_name) == ["blue", "green", "red-edge1", "nir"]
 
 
 def test_segment_lower_bound_inclusive():
     cube = make_cube(np.zeros((1, 1, 1), dtype=np.float32), [515.0])
-    seg = data.segment_bands(cube, data.default_band_slices())
-    assert dict(seg.non_empty()) == {"green": (0,)}
+    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
+    assert [s[0] for s in seg.slices] == ["green"] and seg.band_indices == ((0,),)
 
 
 @settings(max_examples=50, deadline=None)
@@ -138,15 +137,27 @@ def test_segment_lower_bound_inclusive():
 def test_segment_is_partition(wavelengths):
     wavelengths = sorted(wavelengths)
     cube = make_cube(np.zeros((1, 1, len(wavelengths)), dtype=np.float32), wavelengths)
-    seg = data.segment_bands(cube, data.default_band_slices())
+    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
     assigned = [i for idx in seg.band_indices for i in idx]
     assert sorted(assigned) == list(range(len(wavelengths)))
     assert len(assigned) == len(set(assigned))
 
 
+def test_segment_keeps_only_the_filled_slices_in_interval_order():
+    """gradcheck's 14 bands fill blue, green, red and red-edge1 only."""
+    cube, _ = training._gradcheck_dataset(0)
+    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
+    assert seg.slices == data.DEFAULT_SLICES[:4]
+    assert seg.band_indices == (tuple(range(8)), (8, 9), (10, 11, 12), (13,))
+    whole = data.segment_bands(cube, data.WHOLE_SPECTRUM)
+    assert whole.slices == data.WHOLE_SPECTRUM and whole.band_indices == (tuple(range(14)),)
+    with pytest.raises(DataError, match="no band overlaps"):
+        data.segment_bands(cube, (("swir", 1000.0, 2500.0),))
+
+
 def test_segment_no_overlap_error():
     cube = make_cube(np.zeros((1, 1, 1), dtype=np.float32), [450.0])
-    custom = data.BandSliceSet((("nir-only", 790.0, math.inf),))
+    custom = (("nir-only", 790.0, math.inf),)
     with pytest.raises(DataError, match="no band overlaps"):
         data.segment_bands(cube, custom)
 

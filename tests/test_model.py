@@ -122,7 +122,7 @@ def oracle_forward(mdl, patch):
             x1 = np.concatenate([
                 oracle_slice_features(patch[r, c].astype(np.float64), bands, p,
                                       f"spectral.{i}")
-                for i, (_, bands) in enumerate(mdl.slices.non_empty())
+                for i, bands in enumerate(mdl.slices.band_indices)
             ])
             fmap[r, c] = (oracle_enhance(x1, cfg.stage1.epsilon)
                           if cfg.training.enhancement_on else x1)
@@ -168,7 +168,7 @@ def test_forward_matches_with_enhancement_off():
     cfg.training.enhancement_on = False
     split = data.split_samples(labels, 0.5, 3)
     mdl2 = training.build_model(cube, labels, split, cfg)
-    assert mdl2.f_n == len(mdl2.slices.non_empty()) * labels.n_class
+    assert mdl2.f_n == len(mdl2.slices.slices) * labels.n_class
     patches = data.extract_patch_batch(cube, [(3, 3)], 5)
     out = model_mod.forward(mdl2.detached(), patches)
     expected = oracle_forward(mdl2, patches[0])
@@ -318,9 +318,9 @@ def fold_setups():
     """3 classes with every triple, and 3 classes under a 25-triple cap."""
     full = tiny_setup(n_class=3)
     capped = tiny_setup(n_class=3, tri_cap=25)
-    base = len(full[3].slices.non_empty()) * 3
+    base = len(full[3].slices.slices) * 3
     assert full[3].tri_combos is None and capped[3].tri_combos.shape == (25, 3)
-    assert full[3].f_n == spectral.feature_count(len(full[3].slices.non_empty()), 3)
+    assert full[3].f_n == spectral.feature_count(len(full[3].slices.slices), 3)
     assert capped[3].f_n == base + math.comb(base, 2) + 25
     return full, capped
 
@@ -367,7 +367,7 @@ def test_forward_paths_never_build_the_triangular_index(monkeypatch):
         raise AssertionError("triangular_index called on a forward path")
 
     monkeypatch.setattr(spectral, "triangular_index", forbidden)
-    base = len(mdl.slices.non_empty()) * 3
+    base = len(mdl.slices.slices) * 3
     feats = spectral.pixel_features(cube.data[0, :2], mdl)
     assert ad.shape_of(feats) == (2, base + math.comb(base, 2))
     patches = data.extract_patch_batch(cube, [(2, 2)], 5)
@@ -421,7 +421,7 @@ def test_capsule_block_peak_memory_is_below_the_prediction_product(small_cube):
     cfg = RunConfig()  # default stage 2: 32 filters, 8 capsules of 8, D = 8
     cfg.training.enhancement_on = False
     rng = np.random.default_rng(5)
-    slices = data.segment_bands(small_cube, data.default_band_slices())
+    slices = data.segment_bands(small_cube, data.DEFAULT_SLICES)
     mdl = model_mod.init_model(slices, 9, cfg, rng).detached()
     assert mdl.params["caps.class.w"].shape == (72, 9, 8, 8)
     o = rng.uniform(size=(64, 5, 5, 32))
@@ -595,7 +595,7 @@ def test_scene_forward_memory_follows_the_covered_pixels_not_the_width():
     cube = data.HsiCube(16, 144, 103, wavelengths,
                         rng.uniform(0.0, 1.0, size=(16, 144, 103)).astype(np.float32))
     cfg = RunConfig()
-    slices = data.segment_bands(cube, data.default_band_slices())
+    slices = data.segment_bands(cube, data.DEFAULT_SLICES)
     mdl = model_mod.init_model(slices, 9, cfg, rng, tri_cap=2000)
     mdl.tri_combos = spectral.triple_indices(63)[:2000]
     assert mdl.f_n == 4016

@@ -87,7 +87,7 @@ def build_model(slices, n_class, seed=0):
 def segmented(wavelengths):
     cube = data.HsiCube(1, 1, len(wavelengths), tuple(wavelengths),
                         np.zeros((1, 1, len(wavelengths)), dtype=np.float32))
-    return data.segment_bands(cube, data.default_band_slices())
+    return data.segment_bands(cube, data.DEFAULT_SLICES)
 
 
 def base_features(spectrum, mdl):
@@ -98,7 +98,7 @@ def base_features(spectrum, mdl):
 def test_base_features_length_and_zero_params(rng):
     slices = segmented([480, 550, 620, 700, 760, 900])  # 6 slices non-empty
     mdl = build_model(slices, n_class=3)
-    base_width = len(slices.non_empty()) * 3
+    base_width = len(slices.slices) * 3
     spectrum = rng.uniform(0, 1, size=6)
     x1 = base_features(spectrum, mdl)
     assert x1.shape == (base_width,)
@@ -112,7 +112,7 @@ def head_kinds(slices, n_class):
     """Per slice head: "dense" for the fallback, "conv" for the conv stack."""
     names = {name for name, *_ in model_mod.param_spec(slices, n_class, RunConfig())}
     return ["dense" if f"spectral.{i}.dense.w" in names else "conv"
-            for i in range(len(slices.non_empty()))]
+            for i in range(len(slices.slices))]
 
 
 def test_dense_fallback_for_narrow_slices():

@@ -1,6 +1,8 @@
 """Losses, decoder, Adam, gradients, the loop and checkpoints."""
 
+import importlib.util
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -289,7 +291,7 @@ def test_train_enhancement_flag_controls_f_n(tiny_dataset):
     cube, labels, split = tiny_dataset
     on = training.train(cube, labels, split, small_run_config())
     off = training.train(cube, labels, split, small_run_config(enhancement=False))
-    m = len(on.model.slices.non_empty())
+    m = len(on.model.slices.slices)
     n_class = labels.n_class
     assert on.model.f_n == spectral.feature_count(m, n_class)
     assert off.model.f_n == m * n_class
@@ -305,7 +307,7 @@ def test_build_model_fits_cap_on_its_own_initial_heads(tiny_dataset):
     x1 = np.asarray(spectral.base_features(spectra, mdl.detached()))
     assert mdl.tri_combos.shape == (7, 3)
     np.testing.assert_array_equal(mdl.tri_combos, spectral.fit_triangular_cap(x1, 7))
-    assert mdl.f_n == spectral.feature_count(len(mdl.slices.non_empty()), labels.n_class, 7)
+    assert mdl.f_n == spectral.feature_count(len(mdl.slices.slices), labels.n_class, 7)
 
 
 def test_train_empty_split_errors(tiny_dataset):
@@ -446,6 +448,34 @@ def test_checkpoint_predictions_survive_round_trip(tmp_path, tiny_dataset):
     np.testing.assert_array_equal(before, after)
 
 
+def test_checkpoint_listing_empty_slices_loads_and_predicts_the_same(tmp_path):
+    """Older checkpoints list every slice of the specification, with []
+    indices for the slices that hold no band. gradcheck's cube fills 4 of
+    the 7 default slices, so its manifest lists only those 4; re-inserting
+    the 3 empty ones must not change the model."""
+    cube, labels = training._gradcheck_dataset(0)
+    cfg = training.gradcheck_config()
+    split = data.split_samples(labels, 0.5, 0)
+    result = training.train(cube, labels, split, cfg)
+    path, old = tmp_path / "model.ckpt", tmp_path / "old.ckpt"
+    training.save_checkpoint(str(path), result.model, cfg, cube.wavelengths)
+    old.write_bytes(path.read_bytes())
+
+    def list_empty_slices(manifest, arrays):
+        manifest["slices"] = [list(s) for s in data.DEFAULT_SLICES]
+        manifest["slice_band_indices"] += [[], [], []]
+
+    _rewrite_checkpoint(str(old), list_empty_slices)
+    new_model, _, new_manifest = training.load_checkpoint(str(path))
+    old_model, _, old_manifest = training.load_checkpoint(str(old))
+    assert new_manifest["slices"] == [list(s) for s in data.DEFAULT_SLICES[:4]]
+    assert len(old_manifest["slices"]) == 7
+    assert old_model.slices == new_model.slices
+    np.testing.assert_array_equal(old_model.theta, new_model.theta)
+    np.testing.assert_array_equal(training.predict_map(old_model, cube),
+                                  training.predict_map(new_model, cube))
+
+
 def _rewrite_checkpoint(path, edit):
     """Apply ``edit(manifest, {name: array})`` to a saved checkpoint in place."""
     with open(path, "rb") as fh:
@@ -540,7 +570,7 @@ def test_checkpoint_blob_size_mismatch_fails_loudly(tmp_path, saved_checkpoint, 
 
 def test_init_params_equals_per_block_glorot_reference(tiny_dataset):
     cube, _, _ = tiny_dataset
-    slices = data.segment_bands(cube, data.default_band_slices())
+    slices = data.segment_bands(cube, data.DEFAULT_SLICES)
     spec = model_mod.param_spec(slices, 3, small_run_config())
     theta = model_mod.init_params(spec, np.random.default_rng(11))
     rng = np.random.default_rng(11)
@@ -625,3 +655,47 @@ def test_train_memory_does_not_grow_with_the_training_set():
             tracemalloc.stop()
     gap = (peaks[1] - peaks[0]) / 2**20
     assert gap < 4, f"peak grew by {gap:.1f} MiB with the training set"
+
+
+# crop consistency -------------------------------------------------------------
+
+
+def ablation_scene(seed):
+    """(cube, labels, config) of the benchmark's ablation workload, loaded
+    from bench/workloads.py by path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_scene("ablation", seed)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: predict_map normalizes the inference cube with its own "
+    "per-band min and max, so a crop moves every pixel's inputs"))
+@pytest.mark.parametrize("seed", [1, 3])
+def test_crop_keeps_the_class_of_pixels_away_from_the_cut(seed):
+    """A pixel's class depends only on the checkpoint and its patch.
+
+    Reflect padding legitimately changes the patch of a pixel closer than
+    ``patch_size // 2`` to a cut edge, so only the pixels at least that far
+    from every cut edge must keep their full-scene class. A scene edge that
+    the crop keeps is not a cut edge: it pads the same way in both.
+    """
+    cube, labels, cfg = ablation_scene(seed)
+    cfg.apply_variant("model3")
+    cfg.training.epochs = 5
+    split = data.split_samples(labels, cfg.train_fraction, seed)
+    mdl = training.train(cube, labels, split, cfg).model
+    full = training.predict_map(mdl, cube)
+    half = cfg.training.patch_size // 2
+    agree = {}
+    for lo, hi in ((0, 4), (0, 6), (6, 12)):
+        crop = data.HsiCube(cube.height, hi - lo, cube.bands, cube.wavelengths,
+                            np.ascontiguousarray(cube.data[:, lo:hi]))
+        kept = [c for c in range(lo, hi)
+                if (lo == 0 or c - lo >= half) and (hi == cube.width or hi - 1 - c >= half)]
+        got = training.predict_map(mdl, crop)[:, [c - lo for c in kept]]
+        agree[f"{lo}-{hi}"] = float(np.mean(got == full[:, kept]))
+    assert all(v == 1.0 for v in agree.values()), agree
