@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Tensor` wraps a float64 ndarray, so a scalar loss can be
-backpropagated to every parameter with ``backward(loss)``. A leaf
-Tensor may wrap a view of a larger array (the model's parameters view
-one flat vector), since ``Tensor`` does not copy float64 input.
+backpropagated to every parameter with ``backward(loss)``. Every Tensor
+is tracked, and a leaf is a Tensor with no inputs; it may wrap a view of
+a larger array (the model's parameters view one flat vector), since
+``Tensor`` does not copy float64 input.
 
 Every op follows one rule: it computes its forward value with numpy and
 passes it to ``_node`` with one ``(input, vjp)`` pair per input, where
 ``vjp`` maps the gradient of the output to the gradient of that input
-(a vector-Jacobian product). When no input is tracked, ``_node`` returns
+(a vector-Jacobian product). When no input is a Tensor, ``_node`` returns
 the plain ndarray, so numeric model code can be written once and serve
 both the training graph and plain (inference / inspection) evaluation.
 Otherwise it returns a Tensor that keeps the tracked pairs, and
@@ -45,19 +46,18 @@ NORM_EPS = 1e-40
 class Tensor:
     """Node of the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_inputs")
+    __slots__ = ("data", "grad", "_inputs")
 
     # Keep numpy from interpreting Tensor operands elementwise.
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._inputs = ()  # tracked (input, vjp) pairs
+        self._inputs = ()  # tracked (input, vjp) pairs; none for a leaf
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -72,11 +72,9 @@ def value(x):
 
 
 def _tracked(x):
-    if not isinstance(x, Tensor):
-        return False
-    if x._inputs is None:
+    if isinstance(x, Tensor) and x._inputs is None:
         raise ValueError("backward already walked and released this graph")
-    return x.requires_grad or x._inputs
+    return isinstance(x, Tensor)
 
 
 def _val(x):

@@ -116,11 +116,8 @@ def _cmd_evaluate(args) -> int:
     else:
         split = data.split_samples(labels, cfg.train_fraction, cfg.training.seed)
     coords = split.train_indices if args.on == "train" else split.test_indices
-    for r, c in coords:
-        if not (0 <= r < labels.height and 0 <= c < labels.width):
-            raise DataError(f"split pixel ({r}, {c}) outside the label map")
-    truth = data.pixels_at(labels.labels, coords)
     pred = data.pixels_at(training.predict_map(mdl, cube, coords), coords)
+    truth = data.pixels_at(labels.labels, coords)
     cm = evaluation.confusion(truth, pred, n_class=mdl.n_class)
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -208,8 +205,7 @@ def _cmd_interpret(args) -> int:
     # Pixel-level enhanced features (no spatial context needed): the full
     # [x1, x2, x3] vector that caps.conv.w and the feature names lay out.
     enhance = cfg.training.enhancement_on
-    x1 = spectral.base_features(np.asarray(norm_cube.data[rows, cols], dtype=np.float64),
-                                detached)
+    x1 = spectral.base_features(norm_cube.data[rows, cols], detached)
     feats = spectral.enhanced_features(x1, cfg.stage1.epsilon, mdl.tri_combos, enhance)
     names = spectral.feature_names(x1.shape[1], mdl.tri_combos, enhance)
 
@@ -305,28 +301,25 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", choices=["model1", "model2", "model3"])
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="metrics report for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cube", required=True)
+    # the flags of the commands that run a checkpoint over a cube
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--checkpoint", required=True)
+    scene.add_argument("--cube", required=True)
+    scene.add_argument("--out")
+
+    p = sub.add_parser("evaluate", parents=[scene], help="metrics report for a checkpoint")
     p.add_argument("--labels", required=True)
     p.add_argument("--split", help="split JSON (default: recompute from config)")
     p.add_argument("--on", choices=["train", "test"], default="test")
     p.add_argument("--compare", help="class-map CSV for a McNemar comparison")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_evaluate)
 
-    p = sub.add_parser("predict", help="classify a whole scene")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cube", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("predict", parents=[scene], help="classify a whole scene")
     p.set_defaults(fn=_cmd_predict)
 
-    p = sub.add_parser("interpret", help="interpretability report and dumps")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cube", required=True)
+    p = sub.add_parser("interpret", parents=[scene], help="interpretability report and dumps")
     p.add_argument("--labels", required=True)
     p.add_argument("--references", help="CSV of per-pixel reference values")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_interpret)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")

@@ -71,11 +71,6 @@ def param_spec(slices, n_class: int, config, tri_cap: int = None) -> list:
         add(f"{pre}.fc2", (n_class, s1.fc1_width), s1.fc1_width, n_class)
     f_n = len(slices.slices) * n_class
     if tcfg.enhancement_on:
-        if f_n < 3:
-            raise DataError(
-                f"enhancement needs >= 3 base features, got {f_n}; "
-                "use more slices or classes, or disable enhancement"
-            )
         f_n = spectral.feature_count(len(slices.slices), n_class, tri_cap)
     k1, k2 = s2.conv_kernel, s2.capsule_kernel
     h1 = (tcfg.patch_size - k1) // s2.conv_stride + 1
@@ -134,8 +129,7 @@ class Model:
     def tracked(cls, theta, spec, config, slices, n_class, tri_combos=None):
         """Model over flat ``theta`` laid out by ``spec``, with tracked views."""
         shapes = [shape for _, shape, *_ in spec]
-        params = {name: ad.Tensor(view, requires_grad=True)
-                  for (name, *_), view in zip(spec, views(theta, shapes))}
+        params = {name: ad.Tensor(view) for (name, *_), view in zip(spec, views(theta, shapes))}
         return cls(theta, params, config, slices, n_class, tri_combos)
 
     @property

@@ -72,7 +72,8 @@ def feature_count(m: int, n_class: int, cap: int = None) -> int:
     """Total enhanced feature count for m slices and n_class classes."""
     base = m * n_class
     if base < 3:
-        raise DataError(f"too few base features ({base}); need at least 3")
+        raise DataError(f"too few base features ({base}) for enhancement; need at least 3: "
+                        "use more slices or classes, or disable enhancement")
     tri = math.comb(base, 3)
     if cap is not None:
         tri = min(tri, cap)
@@ -110,12 +111,14 @@ def _slice_features(pixels, p, prefix, stride):
 
 
 def base_features(pixels, model):
-    """Concatenated per-slice features: (P, B) array -> (P, n_slices * n_class).
+    """Concatenated per-slice features: (P, B) spectra -> (P, n_slices * n_class).
 
-    ``model`` supplies the registry, the band slices and the stage-1
-    stride; only its ``spectral.*`` parameters are read.
+    ``pixels`` may hold any float dtype (a normalized cube is float32);
+    they are converted to float64 here. ``model`` supplies the registry,
+    the band slices and the stage-1 stride; only its ``spectral.*``
+    parameters are read.
     """
-    parts = []
+    pixels, parts = np.asarray(pixels, dtype=np.float64), []
     for i, bands in enumerate(model.slices.band_indices):
         sliced = pixels[:, np.asarray(bands, dtype=np.intp)]
         parts.append(_slice_features(sliced, model.params, f"spectral.{i}",
@@ -193,8 +196,6 @@ def fit_triangular_cap(x1_train: np.ndarray, cap: int) -> np.ndarray:
     """
     F = x1_train.shape[-1]
     combos = triple_indices(F)
-    if cap >= combos.shape[0]:
-        return combos
     variances = triangular_variances(x1_train, combos)
     ranked = np.lexsort((combos[:, 2], combos[:, 1], combos[:, 0], -variances))
     selected = np.sort(ranked[:cap])
@@ -225,7 +226,7 @@ def pixel_features(pixels, model):
     is not built: ``conv_kernel`` folds it into the stage-2 kernel.
     """
     cfg = model.config
-    x1 = base_features(np.asarray(pixels, dtype=np.float64), model)
+    x1 = base_features(pixels, model)
     if not cfg.training.enhancement_on:
         return x1
     return ad.concat([x1, binary_index(x1, cfg.stage1.epsilon)], axis=1)

@@ -202,7 +202,7 @@ def build_model(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSpl
     mdl = model_mod.init_model(slices, labels.n_class, config,
                                np.random.default_rng(tcfg.seed), cap)
     if cap is not None:
-        spectra = data.pixels_at(cube.data, split.train_indices).astype(np.float64)
+        spectra = data.pixels_at(cube.data, split.train_indices)
         x1 = np.asarray(spectral.base_features(spectra, mdl.detached()))
         mdl.tri_combos = spectral.fit_triangular_cap(x1, cap)
     return mdl

@@ -75,9 +75,9 @@ def test_conv2d_batch_equals_conv_on_gathered_map(rng, stride):
     # row 5 repeats within and across the two maps; row 6 is unreferenced
     index = rng.integers(0, 6, size=(2, 6, 5))
     index[0, :, 0] = index[1, 2] = 5
-    leaves = [ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    leaves = [ad.Tensor(rng.normal(size=shape))
               for shape in ((7, 4), (3, 3, 3, 4), (3,))]  # pixels, kernel, bias
-    oracle = [ad.Tensor(t.data.copy(), requires_grad=True) for t in leaves]
+    oracle = [ad.Tensor(t.data.copy()) for t in leaves]
     got = capsule.conv2d_batch(leaves[0], index, leaves[1], leaves[2], stride)
     pixels, kernel, bias = oracle
     fmap = ad.reshape(ad.matmul(np.eye(7)[index], pixels), index.shape + (4,))
@@ -297,7 +297,7 @@ def test_batched_tail_matches_broadcast_reference(rng, lead):
     runs = []
     for predict, route_fn in ((capsule.predict_vectors, capsule.dynamic_routing),
                               (reference_predict_vectors, reference_routing)):
-        leaves = [ad.Tensor(x.copy(), requires_grad=True) for x in raw]
+        leaves = [ad.Tensor(x.copy()) for x in raw]
         u_hat = predict(*leaves)
         v, history = route_fn(u_hat, 3)
         values = [u_hat] + [x for step in history for x in step]

@@ -493,6 +493,110 @@ def test_evaluate_rejects_out_of_bounds_split(workspace, tmp_path):
     assert rc == 2
 
 
+def _labels_file(tmp_path, grid):
+    path = str(tmp_path / "labels.csv")
+    data.write_grid_csv(np.asarray(grid), path)
+    return path
+
+
+def _run_on_labels(workspace, tmp_path, command, labels, *extra):
+    return cli.main([command, "--checkpoint", workspace["checkpoint"], "--cube", workspace["cube"],
+                     "--labels", labels, "--out", str(tmp_path / command), *extra])
+
+
+def test_evaluate_names_the_split_pixel_outside_the_image(workspace, tmp_path, capsys):
+    split_path = tmp_path / "split.json"
+    split_path.write_text(json.dumps({"seed": 0, "train_fraction": 0.5,
+                                      "train": [[0, 0]], "test": [[1, 1], [3, 8]]}))
+    rc = _run_on_labels(workspace, tmp_path, "evaluate", workspace["labels"],
+                        "--split", str(split_path))
+    assert rc == 2
+    assert "patch center (3, 8) outside image" in capsys.readouterr().err
+    assert not (tmp_path / "evaluate").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "interpret"])
+def test_label_map_of_another_shape_than_the_cube_is_rejected(workspace, tmp_path, capsys,
+                                                              command):
+    labels = _labels_file(tmp_path, np.ones((4, 8), dtype=int))
+    assert _run_on_labels(workspace, tmp_path, command, labels) == 2
+    assert "label map 4x8 does not match cube 8x8" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_class_count_other_than_the_checkpoints(workspace, tmp_path, capsys):
+    labels = _labels_file(tmp_path, np.tile([1, 2], (8, 4)))
+    assert _run_on_labels(workspace, tmp_path, "evaluate", labels) == 2
+    assert "label map has 2 classes, checkpoint 3" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_comparison_map_of_another_shape(workspace, tmp_path, capsys):
+    other = str(tmp_path / "other.csv")
+    data.write_grid_csv(np.ones((8, 7), dtype=int), other)
+    rc = _run_on_labels(workspace, tmp_path, "evaluate", workspace["labels"], "--compare", other)
+    assert rc == 2
+    assert "comparison map shape does not match cube" in capsys.readouterr().err
+    assert not (tmp_path / "evaluate" / "metrics.json").exists()
+
+
+def test_interpret_rejects_a_label_map_with_no_labelled_pixel(workspace, tmp_path, capsys):
+    labels = _labels_file(tmp_path, np.zeros((8, 8), dtype=int))
+    assert _run_on_labels(workspace, tmp_path, "interpret", labels) == 2
+    assert "no labeled pixels to interpret" in capsys.readouterr().err
+    assert not (tmp_path / "interpret").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict", "interpret"])
+def test_scene_commands_take_the_checkpoint_cube_and_out_flags(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    usage = capsys.readouterr().out
+    for flag in ("--checkpoint", "--cube", "--out"):
+        assert flag in usage
+    assert cli.main([command, "--cube", "cube.json"]) == 1
+    assert "--checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, b", [("model1", 3), ("model2", 21)])
+def test_interpret_without_enhancement_exports_the_base_features_alone(workspace, tmp_path,
+                                                                       variant, b):
+    """model1 (one slice) and model2 (seven) run without enhancement, so
+    interpret exports the b base features and caps.conv.w is b wide. The
+    run goes to --out, not to the config's output_dir."""
+    before = (workspace["run"] / "model.ckpt").read_bytes()
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", workspace["config_path"], "--variant", variant,
+                     "--out", str(run)]) == 0
+    assert (workspace["run"] / "model.ckpt").read_bytes() == before
+    assert json.loads((run / "config.json").read_text())["output_dir"] == str(run)
+    out = tmp_path / "interp"
+    assert cli.main(["interpret", "--checkpoint", str(run / "model.ckpt"),
+                     "--cube", workspace["cube"], "--labels", workspace["labels"],
+                     "--out", str(out)]) == 0
+    _, names, feats = _read_features(out)
+    assert names == [f"b1_{i + 1}" for i in range(b)] and feats.shape[1] == b
+    assert np.load(out / "conv_kernels.npy", allow_pickle=False).shape[-1] == b
+
+
+def test_interpret_names_the_capped_triples(workspace, tmp_path):
+    config = json.loads(json.dumps(workspace["config"]))
+    config["stage1"]["triangular_cap"] = 7
+    config["training"]["epochs"] = 1
+    config["output_dir"] = str(tmp_path / "run")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(config_path)]) == 0
+    ckpt = tmp_path / "run" / "model.ckpt"
+    with open(ckpt, "rb") as fh:
+        triples = json.loads(fh.readline())["tri_combos"]
+    assert len(triples) == 7
+    out = tmp_path / "interp"
+    assert cli.main(["interpret", "--checkpoint", str(ckpt), "--cube", workspace["cube"],
+                     "--labels", workspace["labels"], "--out", str(out)]) == 0
+    _, names, feats = _read_features(out)
+    assert [n for n in names if n.startswith("tri_")] == [
+        f"tri_{i + 1}_{j + 1}_{h + 1}" for i, j, h in triples]
+    assert feats.shape[1] == 21 + math.comb(21, 2) + 7
+
+
 @pytest.mark.parametrize("content", [
     '{"seed": 1, "train_fraction": 0.5, "train": [[0, 0]], "te',
     '{"seed": 1}',

@@ -5,11 +5,13 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from test_data import mirrored
 
 from hsicaps import autodiff as ad
 from hsicaps import data, model as model_mod, spectral, training
 from hsicaps.config import RunConfig
+from hsicaps.errors import DataError
 
 
 def tiny_setup(n_class=2, seed=3, tri_cap="auto"):
@@ -184,6 +186,25 @@ def test_forward_rejects_wrong_patch_size():
         assert "patch" in str(exc)
     else:
         raise AssertionError("expected a patch-size error")
+
+
+def test_param_spec_rejects_a_patch_too_small_for_the_stage2_kernels():
+    # a 3x3 patch leaves one position of the 3x3 conv, too few for the 3x3 capsule kernel
+    _, labels, cfg, mdl = tiny_setup()
+    cfg.training.patch_size = 3
+    with pytest.raises(DataError, match="patch size 3 too small for kernels 3 then 3"):
+        model_mod.param_spec(mdl.slices, labels.n_class, cfg)
+
+
+def test_enhancement_on_fewer_than_3_base_features_says_to_disable_it():
+    # segmentation off gives one slice, so 2 classes give 2 base features
+    cube, labels, cfg, _ = tiny_setup(n_class=2)
+    cfg.training.segmentation_on = False
+    split = data.split_samples(labels, 0.5, 3)
+    with pytest.raises(DataError, match=r"too few base features \(2\).*disable enhancement"):
+        training.build_model(cube, labels, split, cfg)
+    cfg.training.enhancement_on = False
+    assert training.build_model(cube, labels, split, cfg).f_n == 2
 
 
 def test_tracked_and_detached_forward_agree():

@@ -131,7 +131,7 @@ def test_total_loss():
 
 def test_gradients_quadratic_bowl():
     theta = np.array([1.0, -2.0, 3.0, 0.5])
-    p, unused = (ad.Tensor(v, requires_grad=True)
+    p, unused = (ad.Tensor(v)
                  for v in model_mod.views(theta, [(3,), (1,)]))
     loss_val, grad = training.compute_gradients(lambda: ad.sum(ad.mul(p, p)), [p, unused])
     assert loss_val == pytest.approx(14.0)
@@ -308,6 +308,38 @@ def test_build_model_fits_cap_on_its_own_initial_heads(tiny_dataset):
     assert mdl.tri_combos.shape == (7, 3)
     np.testing.assert_array_equal(mdl.tri_combos, spectral.fit_triangular_cap(x1, 7))
     assert mdl.f_n == spectral.feature_count(len(mdl.slices.slices), labels.n_class, 7)
+
+
+def test_cap_at_or_above_every_triple_keeps_all_of_them(tmp_path, tiny_dataset):
+    """5,000 >= C(21, 3) = 1,330 triples, so the model is the uncapped one:
+    no fitted subset, a null manifest entry and the "auto" run's draws."""
+    cube, labels, split = tiny_dataset
+    norm, cfg, auto = data.normalize_cube(cube), small_run_config(), small_run_config()
+    cfg.stage1.triangular_cap = 5000
+    mdl = training.build_model(norm, labels, split, cfg)
+    assert len(mdl.slices.slices) * labels.n_class == 21
+    assert mdl.tri_combos is None
+    np.testing.assert_array_equal(mdl.theta, training.build_model(norm, labels, split, auto).theta)
+    path = str(tmp_path / "model.ckpt")
+    training.save_checkpoint(path, mdl, cfg, cube.wavelengths)
+    loaded, _, manifest = training.load_checkpoint(path)
+    assert manifest["tri_combos"] is None and loaded.tri_combos is None
+
+
+def test_capped_checkpoint_round_trips_its_triples(tmp_path, tiny_dataset):
+    cube, labels, split = tiny_dataset
+    cfg = small_run_config(epochs=1)
+    cfg.stage1.triangular_cap = 7
+    result = training.train(cube, labels, split, cfg)
+    path = str(tmp_path / "model.ckpt")
+    training.save_checkpoint(path, result.model, cfg, cube.wavelengths)
+    loaded, _, manifest = training.load_checkpoint(path)
+    assert manifest["tri_combos"] == result.model.tri_combos.tolist()
+    assert len(manifest["tri_combos"]) == 7
+    np.testing.assert_array_equal(loaded.tri_combos, result.model.tri_combos)
+    np.testing.assert_array_equal(loaded.theta, result.model.theta)
+    np.testing.assert_array_equal(training.predict_map(loaded, cube),
+                                  training.predict_map(result.model, cube))
 
 
 def test_train_empty_split_errors(tiny_dataset):
@@ -593,7 +625,7 @@ def test_params_are_views_of_theta(tmp_path, tiny_dataset):
         assert all(np.shares_memory(v, m.theta) for v in vals)
         # the views tile theta in spec order, with no gap and no overlap
         np.testing.assert_array_equal(np.concatenate([v.reshape(-1) for v in vals]), m.theta)
-    assert all(isinstance(t, ad.Tensor) and t.requires_grad
+    assert all(isinstance(t, ad.Tensor) and t._inputs == ()
                for m in (mdl, loaded) for t in m.params.values())
     np.testing.assert_array_equal(loaded.theta, mdl.theta)
 
