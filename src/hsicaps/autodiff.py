@@ -22,7 +22,10 @@ right operand it folds the leading axes of its left operand into one 2-D
 product; ``conv`` is that product over ``unfold``'s strided views (no op
 writes its inputs). With a stack of right matrices it is ``np.matmul``'s
 batched product, whose batch axes broadcast; the capsule tail runs its
-per-pose predictions and its routing sums that way.
+per-pose predictions and its routing sums that way. ``matmul`` (and so
+``conv``) also takes an optional bias and relu, applied in the product's
+own buffer: a dense or conv layer is one node holding one array, and its
+VJPs share one relu-masked gradient per backward visit.
 ``window_sum`` adds up per-row products picked by integer ids, so a
 convolution over gathered rows can multiply each distinct row once and
 never copy its windows.
@@ -141,26 +144,46 @@ def div(a, b):
                  (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
 
 
-def matmul(a, b):
-    """``a @ b`` over the last axis of any (..., K) ``a``.
+def matmul(a, b, bias=None, relu=False):
+    """``a @ b`` over the last axis of any (..., K) ``a``, then ``+ bias``
+    and a relu when asked.
 
     For a (K, n) ``b`` the leading axes of ``a`` fold into the rows of one
     2-D product. A (..., K, n) ``b`` is a stack of matrices whose batch axes
     broadcast against those of a (..., P, K) ``a`` as in ``np.matmul``.
+    The bias and the relu work in the product's own buffer, so the node
+    holds one array where ``relu(add(matmul(a, b), bias))`` holds three,
+    with the same value and gradients bit for bit.
     """
     av, bv = _val(a), _val(b)
     if bv.ndim < 2 or (bv.ndim > 2 and av.ndim < 2):
         raise ValueError("matmul needs a 2-D right operand, or a stack of them "
                          "under a left operand of 2-D or more")
     if bv.ndim > 2:
-        return _node(av @ bv,
-                     (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
-                     (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
-    a2 = av.reshape(-1, av.shape[-1])
-    n = bv.shape[1]
-    return _node((a2 @ bv).reshape(av.shape[:-1] + (n,)),
-                 (a, lambda g: (g.reshape(-1, n) @ bv.T).reshape(av.shape)),
-                 (b, lambda g: a2.T @ g.reshape(-1, n)))
+        out = av @ bv
+        pairs = [(a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+                 (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))]
+    else:
+        a2 = av.reshape(-1, av.shape[-1])
+        n = bv.shape[1]
+        out = (a2 @ bv).reshape(av.shape[:-1] + (n,))
+        pairs = [(a, lambda g: (g.reshape(-1, n) @ bv.T).reshape(av.shape)),
+                 (b, lambda g: a2.T @ g.reshape(-1, n))]
+    if bias is not None:
+        cv = _val(bias)
+        out += cv
+        pairs.append((bias, lambda g: _unbroadcast(g, cv.shape)))
+    if relu:
+        np.maximum(out, 0.0, out=out)
+        seen = [None, None]  # the last gradient of the output and its masked copy
+
+        def masked(g):  # out > 0 exactly where the pre-activation is
+            if seen[0] is not g:
+                seen[:] = g, g * (out > 0.0)
+            return seen[1]
+
+        pairs = [(x, lambda g, vjp=vjp: vjp(masked(g))) for x, vjp in pairs]
+    return _node(out, *pairs)
 
 
 # elementwise ----------------------------------------------------------
@@ -276,18 +299,20 @@ def unfold(x, size, stride):
     return _node(windows.reshape(n, *outs, math.prod(size) * c), (x, vjp))
 
 
-def conv(x, weights, stride):
+def conv(x, weights, stride, bias=None, relu=False):
     """Valid cross-correlation of a channels-last batch.
 
     (N, *dims, C) input and (J, *size, C) weights give (N, *outs, J): one
     ``matmul`` of ``unfold``'s windows with the weights as a (prod(size) * C, J)
-    matrix. One spatial axis is a 1-D conv, two a 2-D conv.
+    matrix, which also adds a (J,) ``bias`` and applies a relu when asked.
+    One spatial axis is a 1-D conv, two a 2-D conv.
     """
     C = shape_of(x)[-1]
     J, *size, Cw = shape_of(weights)
     if Cw != C:
         raise DataError(f"conv channel mismatch: input {C}, weights {Cw}")
-    return matmul(unfold(x, tuple(size), stride), transpose(reshape(weights, (J, -1))))
+    return matmul(unfold(x, tuple(size), stride), transpose(reshape(weights, (J, -1))),
+                  bias, relu)
 
 
 def window_sum(y, windows):

@@ -111,6 +111,11 @@ def _cmd_evaluate(args) -> int:
         raise DataError(
             f"label map has {labels.n_class} classes, checkpoint {mdl.n_class}"
         )
+    other_map = None
+    if args.compare:
+        other_map = data.read_grid_csv(args.compare, "class map")  # any ids allowed
+        if other_map.shape != (cube.height, cube.width):
+            raise DataError("comparison map shape does not match cube")
     if args.split:
         split = data.load_split(args.split)
     else:
@@ -122,10 +127,7 @@ def _cmd_evaluate(args) -> int:
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
     mcnemar_result = None
-    if args.compare:
-        other_map = data.read_grid_csv(args.compare, "class map")  # any ids allowed
-        if other_map.shape != (cube.height, cube.width):
-            raise DataError("comparison map shape does not match cube")
+    if other_map is not None:
         other = data.pixels_at(other_map, coords)
         try:
             chi2, band, f12, f21 = evaluation.mcnemar(truth, pred, other)

@@ -85,8 +85,7 @@ def feature_count(m: int, n_class: int, cap: int = None) -> int:
 
 def dense_forward(x, weights, biases, relu=True):
     """Affine layer over the last axis: weights (out, in), biases (out,)."""
-    y = ad.add(ad.matmul(x, ad.transpose(weights)), biases)
-    return ad.relu(y) if relu else y
+    return ad.matmul(x, ad.transpose(weights), biases, relu)
 
 
 def _slice_features(pixels, p, prefix, stride):
@@ -103,7 +102,7 @@ def _slice_features(pixels, p, prefix, stride):
         h = ad.reshape(pixels, (P, L, 1))
         for conv in ("conv1", "conv2"):
             w = ad.transpose(p[f"{prefix}.{conv}.w"], (0, 2, 1))
-            h = ad.relu(ad.add(ad.conv(h, w, stride), p[f"{prefix}.{conv}.b"]))
+            h = ad.conv(h, w, stride, p[f"{prefix}.{conv}.b"], relu=True)
         sh = ad.shape_of(h)
         h = ad.reshape(h, (P, sh[1] * sh[2]))
     h = dense_forward(h, p[f"{prefix}.fc1.w"], p[f"{prefix}.fc1.b"])

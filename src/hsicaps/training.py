@@ -38,6 +38,14 @@ GRADCHECK_H = 1e-5
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_SEED = 7
 
+# Values per block of ``adam_step``: a block's theta, gradient, two moments
+# and two scratch rows take 6 * 8 * 32,768 bytes = 1.5 MiB, which fits a
+# 2 MiB per-core L2. At ablation model3's 480,800 values, on a 2-vCPU Xeon
+# VM with 2 MiB of L2 per core (4 MiB in all), a step took a median of
+# 3.0-3.7 ms against 4.3-7.6 ms unblocked; blocks of 16,384 and 65,536
+# took 3.1-4.1 ms.
+ADAM_BLOCK = 32768
+
 
 # losses ---------------------------------------------------------------
 
@@ -110,7 +118,8 @@ def compute_gradients(loss_fn, params):
     ``params`` are the leaf tensors the loss closure reads, in the layout
     of the flat vector they view (a model's ``params.values()`` views its
     theta). Returns (loss value, gradient in that layout); a leaf the loss
-    does not reach gets zeros.
+    does not reach gets zeros. Each leaf's ``.grad`` is set back to None
+    once copied, so the flat vector is the step's one live gradient.
     """
     loss = loss_fn()
     lv = float(ad.value(loss))
@@ -122,6 +131,7 @@ def compute_gradients(loss_fn, params):
     for p, g in zip(params, model_mod.views(grad, [p.data.shape for p in params])):
         if p.grad is not None:
             g[...] = p.grad
+            p.grad = None
     return lv, grad
 
 
@@ -155,28 +165,35 @@ class AdamState:
 def adam_step(theta, grad, state: AdamState, cfg) -> AdamState:
     """One bias-corrected Adam update, applied in place to flat ``theta``.
 
-    ``grad`` has theta's shape. The moments are updated in place and the
-    step goes through two transient scratch vectors, in the operation
-    order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    lr * m_hat / (sqrt(v_hat) + eps). Returns the advanced state.
+    ``grad`` has theta's shape. The moments are updated in place, in the
+    operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    lr * m_hat / (sqrt(v_hat) + eps). The update is elementwise, so it runs
+    over consecutive blocks of ``ADAM_BLOCK`` values through two scratch
+    blocks, and each block's passes stay in cache; blocking changes no bit.
+    Returns the advanced state.
     """
     if theta.shape != grad.shape:
         raise DataError(f"gradient shape {grad.shape} does not match theta {theta.shape}")
     t = state.t + 1
-    b1, b2, m, v = cfg.beta1, cfg.beta2, state.m, state.v
-    step, den = np.multiply(grad, 1 - b1), np.multiply(grad, 1 - b2)
-    m *= b1
-    m += step
-    den *= grad
-    v *= b2
-    v += den
-    np.divide(m, 1 - b1**t, out=step)
-    step *= cfg.learning_rate
-    np.divide(v, 1 - b2**t, out=den)
-    np.sqrt(den, out=den)
-    den += cfg.adam_epsilon
-    step /= den
-    theta -= step
+    b1, b2 = cfg.beta1, cfg.beta2
+    scratch = np.empty((2, min(theta.size, ADAM_BLOCK)))
+    for lo in range(0, theta.size, ADAM_BLOCK):
+        p, g, m, v = (x[lo : lo + ADAM_BLOCK] for x in (theta, grad, state.m, state.v))
+        step, den = scratch[:, : g.size]
+        np.multiply(g, 1 - b1, out=step)
+        np.multiply(g, 1 - b2, out=den)
+        m *= b1
+        m += step
+        den *= g
+        v *= b2
+        v += den
+        np.divide(m, 1 - b1**t, out=step)
+        step *= cfg.learning_rate
+        np.divide(v, 1 - b2**t, out=den)
+        np.sqrt(den, out=den)
+        den += cfg.adam_epsilon
+        step /= den
+        p -= step
     state.t = t
     return state
 
@@ -263,6 +280,7 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, batch {batch}") from exc
             state = adam_step(mdl.theta, grad, state, tcfg)
+            del grad  # the next batch's graph builds next to theta and the moments alone
             losses.append(lv)
         hit = _classes_at(mdl, cube, scored) == truth
         train_oa = float(np.mean(hit[:n_train]))

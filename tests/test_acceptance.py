@@ -248,9 +248,9 @@ def matmul_multiply_adds_per_patch(mdl, patches, monkeypatch):
     count = [0]
     matmul = ad.matmul
 
-    def counted(a, b):
+    def counted(a, b, *epilogue):
         count[0] += math.prod(ad.shape_of(a)) * ad.shape_of(b)[-1]  # rows * K * n
-        return matmul(a, b)
+        return matmul(a, b, *epilogue)
 
     with monkeypatch.context() as mp:
         mp.setattr(ad, "matmul", counted)

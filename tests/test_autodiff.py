@@ -93,6 +93,35 @@ def test_matmul_folds_leading_axes(rng):
     fd_check(build, [x, w])
 
 
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("a_shape", [(6, 4), (2, 3, 4)])
+def test_matmul_bias_and_relu_equal_the_separate_ops_bit_for_bit(rng, a_shape, relu):
+    """``matmul(a, w, bias, relu)`` equals ``relu(add(matmul(a, w), bias))``
+    in value and in every gradient, with one pre-activation exactly 0."""
+    a_data, w_data, b_data = (rng.normal(size=s) for s in (a_shape, (4, 5), (5,)))
+    b_data[2] = -(a_data.reshape(-1, 4) @ w_data)[0, 2]
+    pre = (a_data.reshape(-1, 4) @ w_data + b_data).reshape(a_shape[:-1] + (5,))
+    assert pre.reshape(-1, 5)[0, 2] == 0.0
+    g = rng.normal(size=pre.shape)
+
+    def run(fused):
+        a, w, b = map(parameter, (a_data, w_data, b_data))
+        if fused:
+            y = ad.matmul(a, w, b, relu)
+        else:
+            y = ad.add(ad.matmul(a, w), b)
+            y = ad.relu(y) if relu else y
+        ad.backward(ad.sum(ad.mul(y, g)))
+        return y.data, a.grad, w.grad, b.grad
+
+    plain = ad.matmul(a_data, w_data, b_data, relu)
+    assert type(plain) is np.ndarray
+    want = run(False)
+    for got, ref in zip((plain, *run(True)), (want[0], *want)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(plain, np.maximum(pre, 0.0) if relu else pre)
+
+
 @pytest.mark.parametrize("shape", [(4,)])
 def test_matmul_needs_2d_right_operand(rng, shape):
     with pytest.raises(ValueError, match="2-D right operand"):

@@ -535,7 +535,15 @@ def test_evaluate_rejects_a_comparison_map_of_another_shape(workspace, tmp_path,
     rc = _run_on_labels(workspace, tmp_path, "evaluate", workspace["labels"], "--compare", other)
     assert rc == 2
     assert "comparison map shape does not match cube" in capsys.readouterr().err
-    assert not (tmp_path / "evaluate" / "metrics.json").exists()
+    assert not (tmp_path / "evaluate").exists()
+
+
+def test_evaluate_rejects_a_missing_comparison_map(workspace, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    rc = _run_on_labels(workspace, tmp_path, "evaluate", workspace["labels"], "--compare", missing)
+    assert rc == 2
+    assert f"class map not found: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "evaluate").exists()
 
 
 def test_interpret_rejects_a_label_map_with_no_labelled_pixel(workspace, tmp_path, capsys):

@@ -290,10 +290,10 @@ def test_stage2_conv_multiplies_distinct_rows_and_copies_no_window(monkeypatch):
             unfolded.append(ad.shape_of(x)[-1])
             return real_unfold(x, size, stride)
 
-        def matmul(a, b):
+        def matmul(a, b, *epilogue):
             if ad.shape_of(a)[-1] == width:
                 left_rows.append(math.prod(ad.shape_of(a)[:-1]))
-            return real_matmul(a, b)
+            return real_matmul(a, b, *epilogue)
 
         with monkeypatch.context() as mp:
             mp.setattr(ad, "unfold", unfold)

@@ -242,6 +242,26 @@ def test_adam_in_place_equals_reference_update_bit_for_bit():
             np.testing.assert_array_equal(got, want)
 
 
+def test_blocked_adam_equals_reference_update_bit_for_bit():
+    """Five steps over 2.5 blocks of ``ADAM_BLOCK``, so the last block is a
+    partial one."""
+    rng = np.random.default_rng(4)
+    n = 5 * training.ADAM_BLOCK // 2
+    theta = rng.normal(size=n)
+    ref_p, ref_m, ref_v = theta.copy(), np.zeros(n), np.zeros(n)
+    state = training.AdamState.for_theta(theta)
+    c = AdamCfg
+    for t in range(1, 6):
+        grad = rng.normal(size=n)
+        training.adam_step(theta, grad, state, c)
+        ref_m = c.beta1 * ref_m + (1 - c.beta1) * grad
+        ref_v = c.beta2 * ref_v + (1 - c.beta2) * grad * grad
+        ref_p -= (c.learning_rate * (ref_m / (1 - c.beta1**t))
+                  / (np.sqrt(ref_v / (1 - c.beta2**t)) + c.adam_epsilon))
+    for got, want in ((theta, ref_p), (state.m, ref_m), (state.v, ref_v)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_adam_shape_mismatch():
     theta = np.zeros(2)
     state = training.AdamState.for_theta(theta)
@@ -687,6 +707,37 @@ def test_train_memory_does_not_grow_with_the_training_set():
             tracemalloc.stop()
     gap = (peaks[1] - peaks[0]) / 2**20
     assert gap < 4, f"peak grew by {gap:.1f} MiB with the training set"
+
+
+def test_a_training_step_holds_one_array_per_layer_and_one_live_gradient():
+    """One epoch on a seeded 16 x 16, 200-band, three-class scene over
+    400-2500 nm (its NIR slice holds 163 bands) under the default config.
+    Each slice-head and decoder layer is one matmul node holding one array,
+    ``compute_gradients`` drops each parameter's ``.grad`` once copied, and
+    ``train`` holds no step's gradient past its update. The tracemalloc
+    peak read 52.1 MiB, against 68.0 MiB with three arrays per layer
+    (product, plus bias, relu) and every ``.grad`` kept to the next step."""
+    cube, labels = synthetic.make_separable_cube(16, 16, 200, 3, seed=0)
+    cube = data.HsiCube(16, 16, 200, tuple(np.linspace(400.0, 2500.0, 200)), cube.data)
+    cfg = RunConfig()
+    cfg.training.epochs = 1
+    split = data.split_samples(labels, 0.5, 0)
+    tracemalloc.start()
+    try:
+        mdl = training.train(cube, labels, split, cfg).model
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mdl.slices.band_indices[-1]) == 163
+    assert peak < 58 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+    coords = split.train_indices[:4]
+    patches = data.extract_patch_batch(data.normalize_cube(cube), coords, mdl.patch_size)
+    targets = data.pixels_at(labels.labels, coords)
+    _, grad = training.compute_gradients(
+        lambda: training.batch_loss(mdl, patches, targets, cfg.training), mdl.params.values())
+    assert np.any(grad != 0.0)
+    assert all(t.grad is None for t in mdl.params.values())
 
 
 # crop consistency -------------------------------------------------------------
