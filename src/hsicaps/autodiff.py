@@ -24,8 +24,8 @@ writes its inputs). With a stack of right matrices it is ``np.matmul``'s
 batched product, whose batch axes broadcast; the capsule tail runs its
 per-pose predictions and its routing sums that way. ``matmul`` (and so
 ``conv``) also takes an optional bias and relu, applied in the product's
-own buffer: a dense or conv layer is one node holding one array, and its
-VJPs share one relu-masked gradient per backward visit.
+own buffer: a fused layer is two nodes over one array, the affine node
+and a relu node that masks the gradient once.
 ``window_sum`` adds up per-row products picked by integer ids, so a
 convolution over gathered rows can multiply each distinct row once and
 never copy its windows.
@@ -151,9 +151,11 @@ def matmul(a, b, bias=None, relu=False):
     For a (K, n) ``b`` the leading axes of ``a`` fold into the rows of one
     2-D product. A (..., K, n) ``b`` is a stack of matrices whose batch axes
     broadcast against those of a (..., P, K) ``a`` as in ``np.matmul``.
-    The bias and the relu work in the product's own buffer, so the node
-    holds one array where ``relu(add(matmul(a, b), bias))`` holds three,
-    with the same value and gradients bit for bit.
+    The bias and the relu work in the product's own buffer: the product plus
+    bias is the affine node, whose VJPs never read it, and a relu node over
+    it masks the gradient once. The two hold one array where
+    ``relu(add(matmul(a, b), bias))`` holds three, with the same value and
+    gradients bit for bit.
     """
     av, bv = _val(a), _val(b)
     if bv.ndim < 2 or (bv.ndim > 2 and av.ndim < 2):
@@ -173,17 +175,11 @@ def matmul(a, b, bias=None, relu=False):
         cv = _val(bias)
         out += cv
         pairs.append((bias, lambda g: _unbroadcast(g, cv.shape)))
-    if relu:
-        np.maximum(out, 0.0, out=out)
-        seen = [None, None]  # the last gradient of the output and its masked copy
-
-        def masked(g):  # out > 0 exactly where the pre-activation is
-            if seen[0] is not g:
-                seen[:] = g, g * (out > 0.0)
-            return seen[1]
-
-        pairs = [(x, lambda g, vjp=vjp: vjp(masked(g))) for x, vjp in pairs]
-    return _node(out, *pairs)
+    affine = _node(out, *pairs)
+    if not relu:
+        return affine
+    np.maximum(out, 0.0, out=out)  # out > 0 exactly where the pre-activation is
+    return _node(out, (affine, lambda g: g * (out > 0.0)))
 
 
 # elementwise ----------------------------------------------------------
@@ -249,11 +245,6 @@ def reshape(x, shape):
 def transpose(x, axes=None):
     return _node(np.transpose(_val(x), axes),
                  (x, lambda g: np.transpose(g, None if axes is None else np.argsort(axes))))
-
-
-def expand_dims(x, axis):
-    xv = _val(x)
-    return _node(np.expand_dims(xv, axis), (x, lambda g: g.reshape(xv.shape)))
 
 
 def concat(xs, axis):

@@ -109,10 +109,10 @@ def dynamic_routing(u_hat, iterations: int):
     history = []
     for i in range(iterations):
         c = ad.softmax(b, axis=-2)
-        s = ad.reshape(ad.matmul(ad.expand_dims(c, -2), per_class), (*lead, n, D))
+        s = ad.reshape(ad.matmul(ad.reshape(c, (*lead, n, 1, M)), per_class), (*lead, n, D))
         v = squash(s, axis=-1)
         history.append((ad.transpose(c, swap), s, v))
         if i + 1 < iterations:
-            agreement = ad.matmul(per_class, ad.expand_dims(v, -1))
+            agreement = ad.matmul(per_class, ad.reshape(v, (*lead, n, D, 1)))
             b = ad.add(b, ad.reshape(agreement, (*lead, n, M)))
     return v, history

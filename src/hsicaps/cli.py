@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import data, evaluation, model as model_mod, spectral, training
-from .config import load_config, save_config
+from .config import VARIANTS, load_config, save_config
 from .errors import ConfigError, DataError, HsiCapsError, NumericError
 
 EXIT_OK = 0
@@ -300,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="override the config's output_dir")
     p.add_argument("--seed-override", type=int, default=None)
-    p.add_argument("--variant", choices=["model1", "model2", "model3"])
+    p.add_argument("--variant", choices=VARIANTS)
     p.set_defaults(fn=_cmd_train)
 
     # the flags of the commands that run a checkpoint over a cube

@@ -38,13 +38,13 @@ GRADCHECK_H = 1e-5
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_SEED = 7
 
-# Values per block of ``adam_step``: a block's theta, gradient, two moments
-# and two scratch rows take 6 * 8 * 32,768 bytes = 1.5 MiB, which fits a
-# 2 MiB per-core L2. At ablation model3's 480,800 values, on a 2-vCPU Xeon
-# VM with 2 MiB of L2 per core (4 MiB in all), a step took a median of
-# 3.0-3.7 ms against 4.3-7.6 ms unblocked; blocks of 16,384 and 65,536
-# took 3.1-4.1 ms.
-ADAM_BLOCK = 32768
+# Values per block of ``adam_step``: a block's theta, gradient and moments
+# and at most three temporaries of its update take 7 * 8 * 16,384 bytes =
+# 896 KiB, inside a 2 MiB per-core L2. At ablation model3's 480,800 values,
+# on a 2-vCPU Xeon VM, a step took a median of 3.2-3.7 ms. With blocks of
+# 32,768, a process whose heap had not yet grown page-faulted their 256 KiB
+# temporaries in at every block, and a step took 5.0-5.4 ms.
+ADAM_BLOCK = 16384
 
 
 # losses ---------------------------------------------------------------
@@ -165,35 +165,22 @@ class AdamState:
 def adam_step(theta, grad, state: AdamState, cfg) -> AdamState:
     """One bias-corrected Adam update, applied in place to flat ``theta``.
 
-    ``grad`` has theta's shape. The moments are updated in place, in the
-    operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    lr * m_hat / (sqrt(v_hat) + eps). The update is elementwise, so it runs
-    over consecutive blocks of ``ADAM_BLOCK`` values through two scratch
-    blocks, and each block's passes stay in cache; blocking changes no bit.
-    Returns the advanced state.
+    ``grad`` has theta's shape. The textbook update (Kingma and Ba) runs
+    over consecutive blocks of ``ADAM_BLOCK`` values, so its temporaries
+    are block-sized and each block's passes stay in cache; it is elementwise,
+    so blocking changes no bit. Returns the advanced state.
     """
     if theta.shape != grad.shape:
         raise DataError(f"gradient shape {grad.shape} does not match theta {theta.shape}")
     t = state.t + 1
     b1, b2 = cfg.beta1, cfg.beta2
-    scratch = np.empty((2, min(theta.size, ADAM_BLOCK)))
     for lo in range(0, theta.size, ADAM_BLOCK):
         p, g, m, v = (x[lo : lo + ADAM_BLOCK] for x in (theta, grad, state.m, state.v))
-        step, den = scratch[:, : g.size]
-        np.multiply(g, 1 - b1, out=step)
-        np.multiply(g, 1 - b2, out=den)
         m *= b1
-        m += step
-        den *= g
+        m += (1 - b1) * g
         v *= b2
-        v += den
-        np.divide(m, 1 - b1**t, out=step)
-        step *= cfg.learning_rate
-        np.divide(v, 1 - b2**t, out=den)
-        np.sqrt(den, out=den)
-        den += cfg.adam_epsilon
-        step /= den
-        p -= step
+        v += (1 - b2) * g * g
+        p -= cfg.learning_rate * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + cfg.adam_epsilon)
     state.t = t
     return state
 
@@ -390,9 +377,10 @@ def _manifest_fields(manifest) -> tuple:
     if not (tri is not None and tri.ndim == 2 and tri.shape[0] >= 1 and tri.shape[1] == 3
             and np.issubdtype(tri.dtype, np.integer)
             and np.all((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1])
-                       & (tri[:, 1] < tri[:, 2]) & (tri[:, 2] < b))):
-        raise malformed("tri_combos", f"null or an (S, 3) integer array of triples "
-                        f"0 <= i < j < h < {b}")
+                       & (tri[:, 1] < tri[:, 2]) & (tri[:, 2] < b))
+            and np.all(np.diff((tri[:, 0] * b + tri[:, 1]) * b + tri[:, 2]) > 0)):
+        raise malformed("tri_combos", f"null or an (S, 3) integer array of distinct "
+                        f"triples 0 <= i < j < h < {b} in lexicographic order")
     return config, slices, n_class, tri.astype(np.intp)
 
 

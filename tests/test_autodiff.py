@@ -41,7 +41,7 @@ def test_numpy_fallback_returns_arrays():
         ad.add(x, x), ad.sub(x, 1.0), ad.mul(x, x), ad.div(x, 2.0),
         ad.matmul(x, x.T), ad.relu(-x), ad.sqrt(x), ad.clip(x, 0.0, 0.5),
         ad.signed_guard(x, 0.1), ad.sum(x, axis=0), ad.mean(x, axis=1),
-        ad.reshape(x, (3, 2)), ad.transpose(x), ad.expand_dims(x, 0),
+        ad.reshape(x, (3, 2)), ad.transpose(x), ad.reshape(x, (1, 2, 3)),
         ad.concat([x, x], axis=1), ad.unfold(x[..., None], (2,), 1),
         ad.unfold(np.ones((1, 3, 3, 2)), (2, 2), 1), ad.softmax(x, axis=1),
         ad.norm(x, axis=1), ad.matmul(np.ones((2, 2, 3)), x.T),
@@ -120,6 +120,17 @@ def test_matmul_bias_and_relu_equal_the_separate_ops_bit_for_bit(rng, a_shape, r
     for got, ref in zip((plain, *run(True)), (want[0], *want)):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
     np.testing.assert_array_equal(plain, np.maximum(pre, 0.0) if relu else pre)
+
+
+def test_a_fused_relu_is_a_node_over_the_affine_nodes_buffer(rng):
+    """With tracked operands, the relu is a second node whose one input is
+    the affine node (product plus bias), and both hold the same array."""
+    a, w, b = (parameter(rng.normal(size=s)) for s in ((6, 4), (4, 5), (5,)))
+    y = ad.matmul(a, w, b, relu=True)
+    [(affine, _)] = y._inputs
+    assert [x for x, _ in affine._inputs] == [a, w, b]
+    assert np.shares_memory(y.data, affine.data)
+    np.testing.assert_array_equal(y.data, np.maximum(a.data @ w.data + b.data, 0.0))
 
 
 @pytest.mark.parametrize("shape", [(4,)])

@@ -277,14 +277,16 @@ def reference_predict_vectors(poses, weights, biases):
 def reference_routing(u_hat, iterations):
     """Agreement routing with both contractions as broadcast products summed
     over M and over D; coefficients (..., M, n) as ``dynamic_routing``'s."""
-    b = np.zeros(ad.shape_of(u_hat)[:-1])
+    shape = ad.shape_of(u_hat)
+    b = np.zeros(shape[:-1])
     history = []
     for _ in range(iterations):
         c = ad.softmax(b, axis=-1)
-        s = ad.sum(ad.mul(ad.expand_dims(c, -1), u_hat), axis=-3)
+        s = ad.sum(ad.mul(ad.reshape(c, shape[:-1] + (1,)), u_hat), axis=-3)
         v = capsule.squash(s, axis=-1)
         history.append((c, s, v))
-        b = ad.add(b, ad.sum(ad.mul(u_hat, ad.expand_dims(v, -3)), axis=-1))
+        b = ad.add(b, ad.sum(ad.mul(u_hat, ad.reshape(v, shape[:-3] + (1,) + shape[-2:])),
+                             axis=-1))
     return v, history
 
 

@@ -138,6 +138,19 @@ def test_negative_seed_override_rejected(workspace, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("drop, message", [
+    ("cube", "config must set 'cube' and 'labels' paths"),
+    ("labels", "config must set 'cube' and 'labels' paths"),
+    ("output_dir", "no output directory (set 'output_dir' or pass --out)"),
+])
+def test_train_rejects_a_config_without_its_paths(workspace, tmp_path, capsys, drop, message):
+    config = {k: v for k, v in workspace["config"].items() if k != drop}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_default_config_round_trips_and_float_fields_take_ints(tmp_path):
     path = tmp_path / "default.json"
     save_config(RunConfig(), str(path))
@@ -297,6 +310,8 @@ MALFORMED_MANIFESTS = {
     "triple with j = h": lambda m: {**m, "tri_combos": _triples(m, [0, 1, 1])},
     "negative triple index": lambda m: {**m, "tri_combos": _triples(m, [-1, 0, 1])},
     "float triple": lambda m: {**m, "tri_combos": _triples(m, [0.0, 1.0, 2.0])},
+    "extra repeated triple": lambda m: {**m, "tri_combos": _triples(m, [0, 1, 2]) + [[0, 1, 2]]},
+    "triple repeated in place of another": lambda m: {**m, "tri_combos": _triples(m, [0, 1, 3])},
     "n_class as text": lambda m: {**m, "n_class": "3"},
     "band index past the cube": lambda m: {
         **m, "slice_band_indices": [m["slice_band_indices"][0][:-1] + [99]]
@@ -326,14 +341,40 @@ def test_predict_rejects_malformed_manifest(workspace, tmp_path, capsys, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rewrite, rc, message", [
+    (None, 2, "data error: checkpoint not found"),
+    (lambda line, blob: b"{manifest\n" + blob, 2, "data error: malformed checkpoint manifest"),
+    (lambda line, blob: line + np.array([np.nan], "<f8").tobytes() + blob[8:], 3,
+     "numeric error: non-finite values in parameter spectral.0.dense.w[0]"),
+], ids=["missing", "manifest-not-json", "nan-parameter"])
+def test_predict_rejects_a_checkpoint_it_cannot_load(workspace, tmp_path, capsys, rewrite, rc,
+                                                     message):
+    ckpt = tmp_path / "model.ckpt"
+    if rewrite is not None:
+        with open(workspace["checkpoint"], "rb") as fh:
+            line, blob = fh.readline(), fh.read()
+        ckpt.write_bytes(rewrite(line, blob))
+    out = tmp_path / "out"
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--cube", workspace["cube"],
+                     "--out", str(out)]) == rc
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _cube_header(workspace):
+    """The workspace cube's header, its data file named by absolute path."""
+    with open(workspace["cube"], encoding="utf-8") as fh:
+        header = json.load(fh)
+    header["data_file"] = os.path.join(os.path.dirname(workspace["cube"]), header["data_file"])
+    return header
+
+
 @pytest.mark.parametrize("key, value", [("height", "x"), ("width", 2.5), ("bands", True),
                                         ("height", -8), ("wavelengths_nm", "400"),
                                         ("wavelengths_nm", [400.0] * 19 + ["x"]),
                                         ("data_file", 5)])
 def test_predict_rejects_mistyped_cube_header(workspace, tmp_path, capsys, key, value):
-    with open(workspace["cube"], encoding="utf-8") as fh:
-        header = json.load(fh)
-    header["data_file"] = os.path.join(os.path.dirname(workspace["cube"]), header["data_file"])
+    header = _cube_header(workspace)
     header[key] = value
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps(header))
@@ -341,6 +382,25 @@ def test_predict_rejects_mistyped_cube_header(workspace, tmp_path, capsys, key, 
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "cube header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("dtype"), "cube header missing key 'dtype'"),
+    (lambda h: h.update(interleave="bsq"), "unsupported cube encoding (expected f32le / bip)"),
+    (lambda h: h.update(data_file="missing.raw"), "cube data file not found"),
+    (lambda h: h.update(height=4), "cube data size mismatch: expected 640 samples, got 1280"),
+], ids=["missing-key", "encoding", "missing-raw-file", "raw-size-mismatch"])
+def test_predict_rejects_a_cube_it_cannot_read(workspace, tmp_path, capsys, edit, message):
+    header = _cube_header(workspace)
+    assert header["bands"] == 20
+    edit(header)
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(header))
+    out = tmp_path / "out"
+    assert cli.main(["predict", "--checkpoint", workspace["checkpoint"], "--cube", str(cube),
+                     "--out", str(out)]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 INTERPRET_FILES = ("features.npy", "features_index.csv", "feature_names.txt",
@@ -479,6 +539,17 @@ def test_gradcheck_cli(monkeypatch):
     assert cli.main(["gradcheck"]) == 3
 
 
+@pytest.mark.parametrize("content, message", [(None, "cannot read config"),
+                                              ("{", "malformed config")],
+                         ids=["missing", "malformed-json"])
+def test_gradcheck_rejects_a_config_it_cannot_read(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["gradcheck", "--config", str(path)]) == 1
+    assert f"config error: {message} {path}" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_out_of_bounds_split(workspace, tmp_path):
     split_path = tmp_path / "bad_split.json"
     split_path.write_text(json.dumps({
@@ -523,6 +594,19 @@ def test_label_map_of_another_shape_than_the_cube_is_rejected(workspace, tmp_pat
     assert "label map 4x8 does not match cube 8x8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,1\n1,x\n", "malformed label file {path} at line 2"),
+    ("1,1\n1\n", "malformed label file {path}: ragged rows"),
+], ids=["non-integer", "ragged"])
+def test_a_label_file_that_is_not_an_integer_grid_is_rejected(workspace, tmp_path, capsys, text,
+                                                              message):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    assert _run_on_labels(workspace, tmp_path, "evaluate", str(path)) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (tmp_path / "evaluate").exists()
+
+
 def test_evaluate_rejects_a_class_count_other_than_the_checkpoints(workspace, tmp_path, capsys):
     labels = _labels_file(tmp_path, np.tile([1, 2], (8, 4)))
     assert _run_on_labels(workspace, tmp_path, "evaluate", labels) == 2
@@ -551,6 +635,17 @@ def test_interpret_rejects_a_label_map_with_no_labelled_pixel(workspace, tmp_pat
     assert _run_on_labels(workspace, tmp_path, "interpret", labels) == 2
     assert "no labeled pixels to interpret" in capsys.readouterr().err
     assert not (tmp_path / "interpret").exists()
+
+
+def test_interpret_reports_no_dunn_index_with_one_class_of_two_or_more_pixels(
+        workspace, tmp_path, capsys):
+    grid = np.zeros((8, 8), dtype=int)
+    grid[2, 2:5], grid[5, 5], grid[6, 1] = 1, 2, 3
+    labels = _labels_file(tmp_path, grid)
+    assert _run_on_labels(workspace, tmp_path, "interpret", labels) == 0
+    assert "dunn n/a" in capsys.readouterr().out
+    report = json.loads((tmp_path / "interpret" / "interpretability.json").read_text())
+    assert report["dunn_index"] is None
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict", "interpret"])
@@ -735,6 +830,30 @@ def test_interpret_rejects_repeated_reference_columns(workspace, tmp_path, capsy
     ])
     assert rc == 2
     assert f"repeated column 'chl' in reference CSV {refs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["pixel,col,ref"] + lines[1:], "reference CSV must start with row,col columns"),
+    (lambda lines: lines[:2] + [lines[2] + ",0.5"] + lines[3:],
+     "ragged reference CSV {refs} at line 3"),
+    (lambda lines: lines[:-1], "reference CSV missing pixel ({r}, {c})"),
+], ids=["header", "ragged-row", "missing-pixel"])
+def test_interpret_rejects_a_reference_csv_that_does_not_fit(workspace, tmp_path, capsys, edit,
+                                                            message):
+    coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
+    refs = tmp_path / "refs.csv"
+    lines = ["row,col,ref"] + [f"{r},{c},0.1" for r, c in coords]
+    refs.write_text("\n".join(edit(lines)) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main([
+        "interpret", "--checkpoint", workspace["checkpoint"],
+        "--cube", workspace["cube"], "--labels", workspace["labels"],
+        "--references", str(refs), "--out", str(out),
+    ])
+    assert rc == 2
+    r, c = coords[-1]
+    assert message.format(refs=refs, r=r, c=c) in capsys.readouterr().err
     assert not out.exists()
 
 
