@@ -211,13 +211,8 @@ def signed_guard(x, eps):
 
 
 def _expand_reduced(g, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 
 

@@ -121,7 +121,7 @@ def _cmd_evaluate(args) -> int:
     else:
         split = data.split_samples(labels, cfg.train_fraction, cfg.training.seed)
     coords = split.train_indices if args.on == "train" else split.test_indices
-    pred = data.pixels_at(training.predict_map(mdl, cube, coords), coords)
+    pred = training.classes_at(mdl, data.normalize_cube(cube), coords)
     truth = data.pixels_at(labels.labels, coords)
     cm = evaluation.confusion(truth, pred, n_class=mdl.n_class)
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
@@ -158,7 +158,8 @@ def _cmd_predict(args) -> int:
 
 
 def _read_references(path, coords):
-    """Reference CSV: header 'row,col,<name>...'; one line per pixel."""
+    """Reference CSV: header 'row,col,<name>...'; one line per pixel,
+    blank lines skipped."""
     if not os.path.exists(path):
         raise DataError(f"reference CSV not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -171,7 +172,10 @@ def _read_references(path, coords):
         names = header[2:]
         table = {}
         for line_no, line in enumerate(fh, 2):
-            parts = line.strip().split(",")
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
             if len(parts) != len(header):
                 raise DataError(f"ragged reference CSV {path} at line {line_no}")
             try:

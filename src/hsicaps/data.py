@@ -142,7 +142,10 @@ class SampleSplit:
 # cube file IO ---------------------------------------------------------
 
 
-def _header_bytes(cube: HsiCube, data_file: str) -> bytes:
+def write_cube(cube: HsiCube, header_path: str) -> None:
+    """Write header JSON plus the raw float32 BIP file beside it, named
+    after the header with a ``.raw`` suffix (``cube.json``, ``cube.raw``)."""
+    data_path = os.path.splitext(header_path)[0] + ".raw"
     header = {
         "height": cube.height,
         "width": cube.width,
@@ -150,17 +153,10 @@ def _header_bytes(cube: HsiCube, data_file: str) -> bytes:
         "dtype": "f32le",
         "interleave": "bip",
         "wavelengths_nm": [float(w) for w in cube.wavelengths],
-        "data_file": data_file,
+        "data_file": os.path.basename(data_path),
     }
-    return (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-
-
-def write_cube(cube: HsiCube, header_path: str) -> None:
-    """Write header JSON plus the raw float32 BIP file beside it, named
-    after the header with a ``.raw`` suffix (``cube.json``, ``cube.raw``)."""
-    data_path = os.path.splitext(header_path)[0] + ".raw"
     with open(header_path, "wb") as fh:
-        fh.write(_header_bytes(cube, os.path.basename(data_path)))
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
     raw = np.ascontiguousarray(cube.data, dtype="<f4")
     with open(data_path, "wb") as fh:
         fh.write(raw.tobytes())
@@ -258,11 +254,11 @@ def normalize_cube(cube: HsiCube) -> HsiCube:
                    np.ascontiguousarray(out))
 
 
-def segment_bands(cube: HsiCube, intervals: tuple) -> BandSliceSet:
+def segment_bands(wavelengths, intervals: tuple) -> BandSliceSet:
     """The (name, lower_nm, upper_nm) ``intervals`` that hold at least one
-    cube band, each with the bands whose wavelength it contains
-    (lower-inclusive, upper-exclusive)."""
-    pairs = [(s, tuple(i for i, w in enumerate(cube.wavelengths) if s[1] <= w < s[2]))
+    of the band ``wavelengths``, each with the indices of the bands it
+    contains (lower-inclusive, upper-exclusive)."""
+    pairs = [(s, tuple(i for i, w in enumerate(wavelengths) if s[1] <= w < s[2]))
              for s in intervals]
     return BandSliceSet(tuple(s for s, idx in pairs if idx), tuple(idx for _, idx in pairs if idx))
 

@@ -188,31 +188,27 @@ class VegetationIndexDef:
     formula: object  # callable(dict wavelength -> reflectance) -> float
 
 
-def _builtin_indices():
-    return (
-        VegetationIndexDef("NDVI", (760.0, 560.0),
-                           lambda r: (r[760.0] - r[560.0]) / (r[760.0] + r[560.0])),
-        VegetationIndexDef("PRI", (570.0, 531.0),
-                           lambda r: (r[570.0] - r[531.0]) / (r[570.0] + r[531.0])),
-        VegetationIndexDef("CIred-edge", (760.0, 560.0),
-                           lambda r: r[760.0] / r[560.0] - 1.0),
-        VegetationIndexDef("NDWI", (860.0, 1240.0),
-                           lambda r: (r[860.0] - r[1240.0]) / (r[860.0] + r[1240.0])),
-        VegetationIndexDef("TVI", (750.0, 550.0, 670.0),
-                           lambda r: 0.5 * (120.0 * (r[750.0] - r[550.0])
-                                            - 200.0 * (r[670.0] - r[550.0]))),
-        VegetationIndexDef("SIPI", (800.0, 445.0, 680.0),
-                           lambda r: (r[800.0] - r[445.0]) / (r[800.0] + r[680.0])),
-        VegetationIndexDef("PSRI", (678.0, 550.0, 750.0),
-                           lambda r: (r[678.0] - r[550.0]) / r[750.0]),
-        VegetationIndexDef("NPCI", (680.0, 430.0),
-                           lambda r: (r[680.0] - r[430.0]) / (r[680.0] + r[430.0])),
-        VegetationIndexDef("OSAVI", (760.0, 560.0),
-                           lambda r: (r[760.0] - r[560.0]) / (r[760.0] + r[560.0] + 0.16)),
-    )
-
-
-BUILTIN_INDICES = _builtin_indices()
+BUILTIN_INDICES = (
+    VegetationIndexDef("NDVI", (760.0, 560.0),
+                       lambda r: (r[760.0] - r[560.0]) / (r[760.0] + r[560.0])),
+    VegetationIndexDef("PRI", (570.0, 531.0),
+                       lambda r: (r[570.0] - r[531.0]) / (r[570.0] + r[531.0])),
+    VegetationIndexDef("CIred-edge", (760.0, 560.0),
+                       lambda r: r[760.0] / r[560.0] - 1.0),
+    VegetationIndexDef("NDWI", (860.0, 1240.0),
+                       lambda r: (r[860.0] - r[1240.0]) / (r[860.0] + r[1240.0])),
+    VegetationIndexDef("TVI", (750.0, 550.0, 670.0),
+                       lambda r: 0.5 * (120.0 * (r[750.0] - r[550.0])
+                                        - 200.0 * (r[670.0] - r[550.0]))),
+    VegetationIndexDef("SIPI", (800.0, 445.0, 680.0),
+                       lambda r: (r[800.0] - r[445.0]) / (r[800.0] + r[680.0])),
+    VegetationIndexDef("PSRI", (678.0, 550.0, 750.0),
+                       lambda r: (r[678.0] - r[550.0]) / r[750.0]),
+    VegetationIndexDef("NPCI", (680.0, 430.0),
+                       lambda r: (r[680.0] - r[430.0]) / (r[680.0] + r[430.0])),
+    VegetationIndexDef("OSAVI", (760.0, 560.0),
+                       lambda r: (r[760.0] - r[560.0]) / (r[760.0] + r[560.0] + 0.16)),
+)
 
 # A required wavelength is read from the nearest band within this distance.
 INDEX_TOLERANCE_NM = 10.0

@@ -18,7 +18,6 @@ dedups its rows by their bytes, and a tile reads the cube's source pixels
 under the conv positions that its centres read.
 """
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -153,19 +152,6 @@ class Model:
     def detached(self):
         check_finite(self)
         return replace(self, params={k: ad.value(v) for k, v in self.params.items()})
-
-
-def init_model(slices, n_class: int, run_cfg, rng, tri_cap: int = None) -> Model:
-    """Build a seeded model for an already-segmented slice set.
-
-    ``tri_cap`` sizes the registry for that many kept triples (None keeps
-    every triple); the caller then sets the fitted ``tri_combos``.
-    """
-    spec = param_spec(slices, n_class, run_cfg, tri_cap)
-    # forward reads strides, routing and enhancement from the config, so the
-    # model owns a copy that later edits of the caller's config cannot reach
-    return Model.tracked(init_params(spec, rng), spec, copy.deepcopy(run_cfg), slices,
-                         n_class)
 
 
 def forward(model: Model, patches: np.ndarray):

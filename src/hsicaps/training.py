@@ -12,6 +12,7 @@ Checkpoints store ``theta``'s bytes; loading is exact against the spec
 of the stored config or raises.
 """
 
+import copy
 import json
 import math
 import os
@@ -188,23 +189,31 @@ def adam_step(theta, grad, state: AdamState, cfg) -> AdamState:
 # model construction helpers -------------------------------------------
 
 
+def _band_slices(wavelengths, config: RunConfig) -> data.BandSliceSet:
+    """The default slices with segmentation on, else the whole spectrum."""
+    return data.segment_bands(wavelengths, data.DEFAULT_SLICES if config.training.segmentation_on
+                              else data.WHOLE_SPECTRUM)
+
+
 def build_model(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
                 config: RunConfig) -> model_mod.Model:
     """Seeded model for a dataset, fitting the triangular cap if needed.
 
-    The registry is drawn once, sized for the cap. The cap ranking then
-    runs on the model's own initial base features of the train pixels and
-    is frozen for the rest of the run.
+    The registry, drawn once over the cube's ``_band_slices``, is sized for
+    the cap. The cap ranking then runs on the model's own initial base
+    features of the train pixels and is frozen for the rest of the run.
     """
     tcfg = config.training
-    slices = data.segment_bands(
-        cube, data.DEFAULT_SLICES if tcfg.segmentation_on else data.WHOLE_SPECTRUM)
+    slices = _band_slices(cube.wavelengths, config)
     base = len(slices.slices) * labels.n_class
     cap = config.stage1.resolve_cap(labels.n_class) if tcfg.enhancement_on else None
     if cap is not None and cap >= math.comb(base, 3):
         cap = None
-    mdl = model_mod.init_model(slices, labels.n_class, config,
-                               np.random.default_rng(tcfg.seed), cap)
+    spec = model_mod.param_spec(slices, labels.n_class, config, cap)
+    theta = model_mod.init_params(spec, np.random.default_rng(tcfg.seed))
+    # forward reads strides, routing and enhancement from the config, so the
+    # model owns a copy that later edits of the caller's config cannot reach
+    mdl = model_mod.Model.tracked(theta, spec, copy.deepcopy(config), slices, labels.n_class)
     if cap is not None:
         spectra = data.pixels_at(cube.data, split.train_indices)
         x1 = np.asarray(spectral.base_features(spectra, mdl.detached()))
@@ -222,7 +231,7 @@ class TrainResult:
     epoch_seconds: list = field(default_factory=list)
 
 
-def _classes_at(mdl, norm_cube, coords) -> np.ndarray:
+def classes_at(mdl, norm_cube, coords) -> np.ndarray:
     """1-based predicted class at each of ``coords`` of a normalized cube."""
     lengths = model_mod.scene_forward(mdl, norm_cube, coords)["lengths"]
     return np.argmax(lengths, axis=1) + 1
@@ -269,7 +278,7 @@ def train(cube: data.HsiCube, labels: data.LabelMap, split: data.SampleSplit,
             state = adam_step(mdl.theta, grad, state, tcfg)
             del grad  # the next batch's graph builds next to theta and the moments alone
             losses.append(lv)
-        hit = _classes_at(mdl, cube, scored) == truth
+        hit = classes_at(mdl, cube, scored) == truth
         train_oa = float(np.mean(hit[:n_train]))
         test_oa = float(np.mean(hit[n_train:])) if split.test_indices else float("nan")
         epoch_seconds.append(time.perf_counter() - started)
@@ -284,15 +293,11 @@ def save_history(history, path: str) -> None:
             fh.write(f"{epoch},{loss!r},{tr!r},{te!r}\n")
 
 
-def predict_map(mdl: model_mod.Model, cube: data.HsiCube, coords=None) -> np.ndarray:
-    """Class-id map of a scene at every pixel, or only at ``coords`` (0 elsewhere)."""
+def predict_map(mdl: model_mod.Model, cube: data.HsiCube) -> np.ndarray:
+    """(H, W) class-id map of a scene: ``classes_at`` every pixel of it, normalized."""
     cube = data.normalize_cube(cube)
-    if coords is None:
-        coords = np.argwhere(np.ones((cube.height, cube.width), dtype=bool))
-    rc = data.centre_array(cube, coords)
-    out = np.zeros((cube.height, cube.width), dtype=np.int64)
-    out[rc[:, 0], rc[:, 1]] = _classes_at(mdl, cube, rc)
-    return out
+    coords = np.argwhere(np.ones((cube.height, cube.width), dtype=bool))
+    return classes_at(mdl, cube, coords).reshape(cube.height, cube.width)
 
 
 # checkpoints ------------------------------------------------------------
@@ -328,7 +333,8 @@ def _manifest_fields(manifest) -> tuple:
     """(config, slices, n_class, tri_combos) of a checkpoint manifest.
 
     Raises DataError when an entry that loading or ``check_cube_compatible``
-    reads is missing or malformed, so such a checkpoint is never used.
+    reads is missing or malformed, or when the listed slices are not the
+    ``_band_slices`` of its wavelengths and config.
     """
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise DataError("unrecognized checkpoint format")
@@ -340,19 +346,10 @@ def _manifest_fields(manifest) -> tuple:
         return DataError(f"malformed checkpoint manifest: {key} must be {want}")
 
     n_class, wavelengths = manifest["n_class"], manifest["wavelengths_nm"]
-    slices, indices = manifest["slices"], manifest["slice_band_indices"]
     if not (data.is_int(n_class) and n_class >= 1):
         raise malformed("n_class", "a positive integer")
     if not (isinstance(wavelengths, list) and all(map(data.is_number, wavelengths))):
         raise malformed("wavelengths_nm", "a list of numbers")
-    if not (isinstance(slices, list) and all(
-            isinstance(s, list) and len(s) == 3 and isinstance(s[0], str)
-            and all(map(data.is_number, s[1:])) for s in slices)):
-        raise malformed("slices", "a list of [name, lower_nm, upper_nm]")
-    if not (isinstance(indices, list) and len(indices) == len(slices) and all(
-            isinstance(ix, list) and all(map(data.is_int, ix)) and ix == sorted(set(ix))
-            and all(0 <= i < len(wavelengths) for i in ix) for ix in indices)):
-        raise malformed("slice_band_indices", "one ascending list of band indices per slice")
     params = manifest["params"]
     if not (isinstance(params, list) and all(
             isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -363,9 +360,14 @@ def _manifest_fields(manifest) -> tuple:
         config = config_from_dict(manifest["config"])
     except ConfigError as exc:
         raise DataError(f"malformed checkpoint manifest: config: {exc}") from exc
-    # Older checkpoints also list the slices that hold no band; they add no head.
-    slices = data.BandSliceSet(tuple(tuple(s) for s, ix in zip(slices, indices) if ix),
-                               tuple(tuple(ix) for ix in indices if ix))
+    slices = _band_slices(wavelengths, config)
+    try:  # older files also list the slices that hold no band, with []
+        listed = [[s, ix] for s, ix in zip(manifest["slices"], manifest["slice_band_indices"],
+                                           strict=True) if ix != []]
+    except (TypeError, ValueError):  # not lists, or lists of unequal length
+        listed = None
+    if listed != [[list(s), list(ix)] for s, ix in zip(slices.slices, slices.band_indices)]:
+        raise DataError("checkpoint slices differ from those of its wavelengths and config")
     tri = manifest["tri_combos"]
     if tri is None:
         return config, slices, n_class, None

@@ -117,6 +117,16 @@ def test_wrongly_typed_config_value_rejected(workspace, tmp_path, section, key, 
     ("stage2", "capsule_kernel", -3),
     ("training", "seed", -1),
     ("training", "adam_epsilon", 0),
+    ("stage1", "conv1_filters", 0),
+    ("stage1", "epsilon", 0),
+    ("stage2", "routing_iterations", 0),
+    ("stage2", "class_capsule_dim", 1),
+    ("training", "epochs", 0),
+    ("training", "batch_size", 0),
+    ("training", "learning_rate", 0),
+    ("training", "reconstruction_weight", -0.5),
+    ("training", "patch_size", 4),
+    ("training", "decoder_hidden", 0),
 ])
 def test_out_of_range_config_value_rejected(workspace, tmp_path, section, key, value):
     config = json.loads(json.dumps(workspace["config"]))
@@ -128,6 +138,29 @@ def test_out_of_range_config_value_rejected(workspace, tmp_path, section, key, v
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
         config_from_dict(config)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["stage2"].update(conv_kernel=2), "stage2 kernels must be odd"),
+    (lambda c: c["stage2"].update(capsules=1), "stage2 needs >= 2 capsules of dimension >= 2"),
+    (lambda c: c["training"].update(margin={"edge_minus": 0.95}),
+     "margin edges must satisfy 0 < edge_minus < edge_plus < 1"),
+    (lambda c: c["training"].update(margin={"mu": 0}), "margin.mu must be positive"),
+    (lambda c: c["training"].update(margin={"variant": "squared"}),
+     "unknown margin variant 'squared'"),
+    (lambda c: c["training"].update(beta2=1.0), "adam betas must be in (0, 1)"),
+    (lambda c: c.update(train_fraction=1.0), "train_fraction must be in (0, 1)"),
+], ids=["even-kernel", "one-capsule", "margin-edges", "margin-mu", "margin-variant", "beta2",
+        "train-fraction"])
+def test_a_config_that_fails_its_checks_is_rejected(workspace, tmp_path, capsys, edit, message):
+    config = json.loads(json.dumps(workspace["config"]))
+    edit(config)
+    config["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_override_rejected(workspace, tmp_path):
@@ -177,6 +210,11 @@ def test_variant_flag_sets_ablation(workspace, tmp_path):
     saved = json.loads((tmp_path / "m1" / "config.json").read_text())
     assert saved["training"]["segmentation_on"] is False
     assert saved["training"]["enhancement_on"] is False
+
+
+def test_an_unknown_variant_is_rejected():
+    with pytest.raises(ConfigError, match="unknown variant 'model4'"):
+        RunConfig().apply_variant("model4")
 
 
 def test_evaluate_writes_report(workspace, tmp_path):
@@ -316,6 +354,12 @@ MALFORMED_MANIFESTS = {
     "band index past the cube": lambda m: {
         **m, "slice_band_indices": [m["slice_band_indices"][0][:-1] + [99]]
         + m["slice_band_indices"][1:]},
+    "slices not a list": lambda m: {**m, "slices": None},
+    "a slice listed without its band indices": lambda m: {
+        **m, "slices": m["slices"] + [["swir", 1000.0, 2500.0]]},
+    "band indices swapped between slices": lambda m: {
+        **m, "slice_band_indices": m["slice_band_indices"][:1] + m["slice_band_indices"][2:0:-1]
+        + m["slice_band_indices"][3:]},
     "descending band indices": lambda m: {
         **m, "slice_band_indices": [m["slice_band_indices"][0][::-1]]
         + m["slice_band_indices"][1:]},
@@ -389,7 +433,9 @@ def test_predict_rejects_mistyped_cube_header(workspace, tmp_path, capsys, key, 
     (lambda h: h.update(interleave="bsq"), "unsupported cube encoding (expected f32le / bip)"),
     (lambda h: h.update(data_file="missing.raw"), "cube data file not found"),
     (lambda h: h.update(height=4), "cube data size mismatch: expected 640 samples, got 1280"),
-], ids=["missing-key", "encoding", "missing-raw-file", "raw-size-mismatch"])
+    (lambda h: h["wavelengths_nm"].reverse(), "wavelengths must be strictly increasing"),
+], ids=["missing-key", "encoding", "missing-raw-file", "raw-size-mismatch",
+        "descending-wavelengths"])
 def test_predict_rejects_a_cube_it_cannot_read(workspace, tmp_path, capsys, edit, message):
     header = _cube_header(workspace)
     assert header["bands"] == 20
@@ -400,6 +446,16 @@ def test_predict_rejects_a_cube_it_cannot_read(workspace, tmp_path, capsys, edit
     assert cli.main(["predict", "--checkpoint", workspace["checkpoint"], "--cube", str(cube),
                      "--out", str(out)]) == 2
     assert f"data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_rejects_a_cube_header_that_is_not_json(workspace, tmp_path, capsys):
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(_cube_header(workspace))[:-1])
+    out = tmp_path / "out"
+    assert cli.main(["predict", "--checkpoint", workspace["checkpoint"], "--cube", str(cube),
+                     "--out", str(out)]) == 2
+    assert f"data error: malformed cube header {cube}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -597,7 +653,8 @@ def test_label_map_of_another_shape_than_the_cube_is_rejected(workspace, tmp_pat
 @pytest.mark.parametrize("text, message", [
     ("1,1\n1,x\n", "malformed label file {path} at line 2"),
     ("1,1\n1\n", "malformed label file {path}: ragged rows"),
-], ids=["non-integer", "ragged"])
+    ("1,1\n1,-1\n", "labels must be non-negative"),
+], ids=["non-integer", "ragged", "negative-id"])
 def test_a_label_file_that_is_not_an_integer_grid_is_rejected(workspace, tmp_path, capsys, text,
                                                               message):
     path = tmp_path / "labels.csv"
@@ -605,6 +662,19 @@ def test_a_label_file_that_is_not_an_integer_grid_is_rejected(workspace, tmp_pat
     assert _run_on_labels(workspace, tmp_path, "evaluate", str(path)) == 2
     assert message.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "evaluate").exists()
+
+
+def test_a_blank_line_between_label_rows_is_skipped(workspace, tmp_path):
+    with open(workspace["labels"], encoding="utf-8") as fh:
+        rows = fh.readlines()
+    path = tmp_path / "labels.csv"
+    path.write_text("".join(rows[:3]) + "\n" + "".join(rows[3:]))
+    assert _run_on_labels(workspace, tmp_path, "evaluate", str(path)) == 0
+    assert cli.main(["evaluate", "--checkpoint", workspace["checkpoint"], "--cube",
+                     workspace["cube"], "--labels", workspace["labels"],
+                     "--out", str(tmp_path / "plain")]) == 0
+    assert ((tmp_path / "evaluate" / "metrics.json").read_bytes()
+            == (tmp_path / "plain" / "metrics.json").read_bytes())
 
 
 def test_evaluate_rejects_a_class_count_other_than_the_checkpoints(workspace, tmp_path, capsys):
@@ -720,6 +790,37 @@ def test_evaluate_rejects_malformed_split(workspace, tmp_path, capsys, content):
     ])
     assert rc == 2
     assert f"malformed split file {split_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "split file not found"),
+    ('{"seed": 1, "train_fraction": 0.5, "train": [[0, 0], [1, 1]], "test": [[1, 1]]}',
+     "train/test overlap on 1 pixels"),
+], ids=["missing", "overlap"])
+def test_evaluate_rejects_a_split_it_cannot_use(workspace, tmp_path, capsys, content, message):
+    split_path = tmp_path / "split.json"
+    if content is not None:
+        split_path.write_text(content)
+    rc = _run_on_labels(workspace, tmp_path, "evaluate", workspace["labels"],
+                        "--split", str(split_path))
+    assert rc == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "evaluate").exists()
+
+
+def test_evaluate_reports_null_sensitivity_for_a_class_absent_from_the_test_list(workspace,
+                                                                                 tmp_path):
+    doc = json.loads((workspace["run"] / "split.json").read_text())
+    labels = data.load_labels(workspace["labels"]).labels
+    doc["test"] = [rc for rc in doc["test"] if labels[rc[0], rc[1]] != 3]
+    split_path = tmp_path / "split.json"
+    split_path.write_text(json.dumps(doc))
+    rc = _run_on_labels(workspace, tmp_path, "evaluate", workspace["labels"],
+                        "--split", str(split_path))
+    assert rc == 0
+    per_class = json.loads((tmp_path / "evaluate" / "metrics.json").read_text())["per_class"]
+    assert per_class[2]["class"] == 3 and per_class[2]["sensitivity"] is None
+    assert all(isinstance(row["sensitivity"], float) for row in per_class[:2])
 
 
 @pytest.mark.parametrize("key", ["train", "test"])
@@ -855,6 +956,18 @@ def test_interpret_rejects_a_reference_csv_that_does_not_fit(workspace, tmp_path
     r, c = coords[-1]
     assert message.format(refs=refs, r=r, c=c) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_interpret_skips_blank_lines_in_references(workspace, tmp_path):
+    coords = np.argwhere(data.load_labels(workspace["labels"]).labels > 0)
+    text = "row,col,ref\n" + "".join(f"{r},{c},{0.1 * i}\n" for i, (r, c) in enumerate(coords))
+    outs = []
+    for name, body in (("plain", text), ("trailing", text + "\n\n")):
+        refs, out = tmp_path / f"{name}.csv", tmp_path / name
+        refs.write_text(body)
+        _interpret(workspace, out, "--references", str(refs))  # asserts exit 0
+        outs.append((out / "r_squared.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_interpret_feature_names_match_features_and_r_squared(workspace, tmp_path):

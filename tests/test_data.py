@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,24 @@ def test_labels_must_be_contiguous():
         data.labelmap_from_array(np.array([[1, 3]]))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: data.HsiCube(1, 1, 2, (1.0, 2.0), np.zeros((1, 2, 2), dtype=np.float32)),
+     "data shape (1, 2, 2) does not match header (1, 1, 2)"),
+    (lambda: data.LabelMap(2, 2, np.zeros((3, 3), dtype=np.int64), 0),
+     "label map shape mismatch"),
+    (lambda: data.BandSliceSet((("a", 5.0, 5.0),), ((0,),)),
+     "slice 'a' has empty interval [5.0, 5.0)"),
+    (lambda: data.segment_bands((450.0, 550.0), (("a", 400.0, 600.0), ("b", 500.0, 700.0))),
+     "slice 'b' overlaps its predecessor"),
+    (lambda: data.split_samples(data.labelmap_from_array(np.ones((2, 2), dtype=int)), 1.0, 0),
+     "train_fraction must be in (0, 1), got 1.0"),
+], ids=["cube-data-shape", "label-shape", "empty-interval", "overlapping-slices",
+        "train-fraction"])
+def test_containers_reject_inconsistent_parts(build, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        build()
+
+
 # normalize ---------------------------------------------------------------
 
 
@@ -115,7 +134,7 @@ def test_normalize_range_property(rng):
 
 def test_segment_hand_assignment():
     cube = make_cube(np.zeros((1, 1, 4), dtype=np.float32), [480.0, 550.0, 700.0, 900.0])
-    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
+    seg = data.segment_bands(cube.wavelengths, data.DEFAULT_SLICES)
     by_name = {name: idx for (name, _, _), idx in zip(seg.slices, seg.band_indices)}
     assert by_name["blue"] == (0,)
     assert by_name["green"] == (1,)
@@ -127,7 +146,7 @@ def test_segment_hand_assignment():
 
 def test_segment_lower_bound_inclusive():
     cube = make_cube(np.zeros((1, 1, 1), dtype=np.float32), [515.0])
-    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
+    seg = data.segment_bands(cube.wavelengths, data.DEFAULT_SLICES)
     assert [s[0] for s in seg.slices] == ["green"] and seg.band_indices == ((0,),)
 
 
@@ -137,7 +156,7 @@ def test_segment_lower_bound_inclusive():
 def test_segment_is_partition(wavelengths):
     wavelengths = sorted(wavelengths)
     cube = make_cube(np.zeros((1, 1, len(wavelengths)), dtype=np.float32), wavelengths)
-    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
+    seg = data.segment_bands(cube.wavelengths, data.DEFAULT_SLICES)
     assigned = [i for idx in seg.band_indices for i in idx]
     assert sorted(assigned) == list(range(len(wavelengths)))
     assert len(assigned) == len(set(assigned))
@@ -146,20 +165,20 @@ def test_segment_is_partition(wavelengths):
 def test_segment_keeps_only_the_filled_slices_in_interval_order():
     """gradcheck's 14 bands fill blue, green, red and red-edge1 only."""
     cube, _ = training._gradcheck_dataset(0)
-    seg = data.segment_bands(cube, data.DEFAULT_SLICES)
+    seg = data.segment_bands(cube.wavelengths, data.DEFAULT_SLICES)
     assert seg.slices == data.DEFAULT_SLICES[:4]
     assert seg.band_indices == (tuple(range(8)), (8, 9), (10, 11, 12), (13,))
-    whole = data.segment_bands(cube, data.WHOLE_SPECTRUM)
+    whole = data.segment_bands(cube.wavelengths, data.WHOLE_SPECTRUM)
     assert whole.slices == data.WHOLE_SPECTRUM and whole.band_indices == (tuple(range(14)),)
     with pytest.raises(DataError, match="no band overlaps"):
-        data.segment_bands(cube, (("swir", 1000.0, 2500.0),))
+        data.segment_bands(cube.wavelengths, (("swir", 1000.0, 2500.0),))
 
 
 def test_segment_no_overlap_error():
     cube = make_cube(np.zeros((1, 1, 1), dtype=np.float32), [450.0])
     custom = (("nir-only", 790.0, math.inf),)
     with pytest.raises(DataError, match="no band overlaps"):
-        data.segment_bands(cube, custom)
+        data.segment_bands(cube.wavelengths, custom)
 
 
 # patches -----------------------------------------------------------------

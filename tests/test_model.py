@@ -442,8 +442,10 @@ def test_capsule_block_peak_memory_is_below_the_prediction_product(small_cube):
     cfg = RunConfig()  # default stage 2: 32 filters, 8 capsules of 8, D = 8
     cfg.training.enhancement_on = False
     rng = np.random.default_rng(5)
-    slices = data.segment_bands(small_cube, data.DEFAULT_SLICES)
-    mdl = model_mod.init_model(slices, 9, cfg, rng).detached()
+    slices = data.segment_bands(small_cube.wavelengths, data.DEFAULT_SLICES)
+    spec = model_mod.param_spec(slices, 9, cfg)
+    mdl = model_mod.Model.tracked(model_mod.init_params(spec, rng), spec, cfg, slices,
+                                  9).detached()
     assert mdl.params["caps.class.w"].shape == (72, 9, 8, 8)
     o = rng.uniform(size=(64, 5, 5, 32))
     tracemalloc.start()
@@ -616,8 +618,9 @@ def test_scene_forward_memory_follows_the_covered_pixels_not_the_width():
     cube = data.HsiCube(16, 144, 103, wavelengths,
                         rng.uniform(0.0, 1.0, size=(16, 144, 103)).astype(np.float32))
     cfg = RunConfig()
-    slices = data.segment_bands(cube, data.DEFAULT_SLICES)
-    mdl = model_mod.init_model(slices, 9, cfg, rng, tri_cap=2000)
+    slices = data.segment_bands(cube.wavelengths, data.DEFAULT_SLICES)
+    spec = model_mod.param_spec(slices, 9, cfg, tri_cap=2000)
+    mdl = model_mod.Model.tracked(model_mod.init_params(spec, rng), spec, cfg, slices, 9)
     mdl.tri_combos = spectral.triple_indices(63)[:2000]
     assert mdl.f_n == 4016
     coords = [(0, 0), (5, 70), (9, 143), (15, 100)]

@@ -81,13 +81,16 @@ def test_conv1d_short_signal_error():
 
 def build_model(slices, n_class, seed=0):
     """Seeded model over ``slices`` with the default configuration."""
-    return model_mod.init_model(slices, n_class, RunConfig(), np.random.default_rng(seed))
+    cfg = RunConfig()
+    spec = model_mod.param_spec(slices, n_class, cfg)
+    return model_mod.Model.tracked(model_mod.init_params(spec, np.random.default_rng(seed)), spec,
+                                   cfg, slices, n_class)
 
 
 def segmented(wavelengths):
     cube = data.HsiCube(1, 1, len(wavelengths), tuple(wavelengths),
                         np.zeros((1, 1, len(wavelengths)), dtype=np.float32))
-    return data.segment_bands(cube, data.DEFAULT_SLICES)
+    return data.segment_bands(cube.wavelengths, data.DEFAULT_SLICES)
 
 
 def base_features(spectrum, mdl):

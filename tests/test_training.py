@@ -442,14 +442,14 @@ def test_train_accuracy_pass_matches_patch_forward(tiny_dataset):
     assert train_oa != test_oa
 
 
-def test_predict_map_masking(tiny_dataset):
+def test_classes_at_labelled_pixels_equals_predict_map_there(tiny_dataset):
     cube, labels, split = tiny_dataset
     result = training.train(cube, labels, split, small_run_config())
-    coords = [tuple(rc) for rc in np.argwhere(labels.labels > 0)]
-    masked = training.predict_map(result.model, cube, coords)
-    assert masked.shape == (cube.height, cube.width)
-    assert np.all(masked[labels.labels == 0] == 0)
-    assert np.all(masked[labels.labels > 0] >= 1)
+    coords = np.argwhere(labels.labels > 0)
+    got = training.classes_at(result.model, data.normalize_cube(cube), coords)
+    np.testing.assert_array_equal(got, data.pixels_at(training.predict_map(result.model, cube),
+                                                      coords))
+    assert got.min() >= 1 and got.max() <= labels.n_class
 
 
 # checkpoints ------------------------------------------------------------
@@ -622,7 +622,7 @@ def test_checkpoint_blob_size_mismatch_fails_loudly(tmp_path, saved_checkpoint, 
 
 def test_init_params_equals_per_block_glorot_reference(tiny_dataset):
     cube, _, _ = tiny_dataset
-    slices = data.segment_bands(cube, data.DEFAULT_SLICES)
+    slices = data.segment_bands(cube.wavelengths, data.DEFAULT_SLICES)
     spec = model_mod.param_spec(slices, 3, small_run_config())
     theta = model_mod.init_params(spec, np.random.default_rng(11))
     rng = np.random.default_rng(11)
