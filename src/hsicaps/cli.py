@@ -23,13 +23,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def _jsonable(obj):
     """Recursively replace NaN with None (JSON null) in a report of
     Python scalars, lists and dicts."""
@@ -124,23 +117,26 @@ def _cmd_evaluate(args) -> int:
     pred = training.classes_at(mdl, data.normalize_cube(cube), coords)
     truth = data.pixels_at(labels.labels, coords)
     cm = evaluation.confusion(truth, pred, n_class=mdl.n_class)
-    out_dir = args.out or os.path.dirname(args.checkpoint) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    mcnemar_result = None
+    mcnemar_result = mcnemar_row = None
     if other_map is not None:
         other = data.pixels_at(other_map, coords)
         try:
             chi2, band, f12, f21 = evaluation.mcnemar(truth, pred, other)
-            mcnemar_result = {"chi2": chi2, "band": band, "f12": f12, "f21": f21}
-            with open(os.path.join(out_dir, "mcnemar.csv"), "w", encoding="utf-8") as fh:
-                fh.write("classifier_a,classifier_b,f12,f21,chi2,band\n")
-                fh.write(f"checkpoint,{args.compare},{f12},{f21},{chi2!r},{band}\n")
         except DataError:
             mcnemar_result = {"note": "no discordant pairs"}
+        else:
+            mcnemar_result = {"chi2": chi2, "band": band, "f12": f12, "f21": f21}
+            mcnemar_row = f"checkpoint,{args.compare},{f12},{f21},{chi2!r},{band}\n"
+    # the report raises on an empty split, so it comes before any output
     report = evaluation.metrics_report(cm, args.on, mcnemar_result)
+    out_dir = args.out or os.path.dirname(args.checkpoint) or "."
+    os.makedirs(out_dir, exist_ok=True)
+    if mcnemar_row is not None:
+        with open(os.path.join(out_dir, "mcnemar.csv"), "w", encoding="utf-8") as fh:
+            fh.write("classifier_a,classifier_b,f12,f21,chi2,band\n" + mcnemar_row)
     _write_json(os.path.join(out_dir, "metrics.json"), report)
     print(f"OA {report['oa']:.4f}  AA {report['aa']:.4f}  kappa {report['kappa']:.4f} "
-          f"({cm.total} pixels, {args.on} split)")
+          f"({report['n_evaluated']} pixels, {args.on} split)")
     return EXIT_OK
 
 
@@ -295,9 +291,9 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hsicaps",
-                     description="Two-stage capsule classifier for hyperspectral cubes")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hsicaps", description="Two-stage capsule classifier for hyperspectral cubes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a JSON config")
@@ -340,8 +336,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:  # argparse usage errors
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,26 +20,8 @@ from .errors import DataError
 MCNEMAR_BANDS = ((6.635, "***"), (3.841, "**"), (2.706, "*"))
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts[t-1][p-1] of truth t predicted as p."""
-
-    n_class: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        if self.counts.shape != (self.n_class, self.n_class):
-            raise DataError("confusion matrix shape mismatch")
-        if (self.counts < 0).any():
-            raise DataError("confusion matrix counts must be non-negative")
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-
-def confusion(truth, pred, n_class: int) -> ConfusionMatrix:
-    """Count matrix over labeled pixels (truth 0 entries are skipped)."""
+def confusion(truth, pred, n_class: int) -> np.ndarray:
+    """(n_class, n_class) int64 counts[t-1, p-1] of truth t predicted as p (truth 0 skipped)."""
     t = np.asarray(truth, dtype=np.int64).reshape(-1)
     p = np.asarray(pred, dtype=np.int64).reshape(-1)
     if t.shape != p.shape:
@@ -50,48 +32,50 @@ def confusion(truth, pred, n_class: int) -> ConfusionMatrix:
         raise DataError(f"labels outside [1, {n_class}]")
     counts = np.zeros((n_class, n_class), dtype=np.int64)
     np.add.at(counts, (t - 1, p - 1), 1)
-    return ConfusionMatrix(n_class, counts)
+    return counts
 
 
-def oa_aa(cm: ConfusionMatrix):
-    """(overall accuracy, average per-class recall).
+def oa_aa(counts):
+    """(overall accuracy, average per-class recall) of a ``confusion`` count array.
 
     Classes with no truth pixels are excluded from the average.
     """
-    if cm.total == 0:
+    total = counts.sum()
+    if total == 0:
         raise DataError("empty confusion matrix")
-    oa = float(np.trace(cm.counts) / cm.total)
-    row_sums = cm.counts.sum(axis=1)
+    oa = float(np.trace(counts) / total)
+    row_sums = counts.sum(axis=1)
     present = row_sums > 0
-    recalls = np.diag(cm.counts)[present] / row_sums[present]
+    recalls = np.diag(counts)[present] / row_sums[present]
     return oa, float(np.mean(recalls))
 
 
-def kappa(cm: ConfusionMatrix) -> float:
+def kappa(counts) -> float:
     """Chance-corrected agreement (p_o - p_e) / (1 - p_e)."""
-    if cm.total == 0:
+    total = int(counts.sum())
+    if total == 0:
         raise DataError("empty confusion matrix")
-    p_o = np.trace(cm.counts) / cm.total
-    rows = cm.counts.sum(axis=1)
-    cols = cm.counts.sum(axis=0)
-    p_e = float(np.sum(rows * cols)) / (cm.total**2)
+    p_o = np.trace(counts) / total
+    rows = counts.sum(axis=1)
+    cols = counts.sum(axis=0)
+    p_e = float(np.sum(rows * cols)) / (total**2)
     if p_e == 1.0:
         raise DataError("degenerate confusion matrix: chance agreement is 1")
     return float((p_o - p_e) / (1.0 - p_e))
 
 
-def sens_spec(cm: ConfusionMatrix, cls: int):
+def sens_spec(counts, cls: int):
     """One-vs-rest (sensitivity, specificity) for a 1-based class.
 
     A zero denominator yields nan, not an error.
     """
-    if not 1 <= cls <= cm.n_class:
-        raise DataError(f"class {cls} outside [1, {cm.n_class}]")
+    if not 1 <= cls <= len(counts):
+        raise DataError(f"class {cls} outside [1, {len(counts)}]")
     i = cls - 1
-    tp = cm.counts[i, i]
-    fn = cm.counts[i, :].sum() - tp
-    fp = cm.counts[:, i].sum() - tp
-    tn = cm.total - tp - fn - fp
+    tp = counts[i, i]
+    fn = counts[i, :].sum() - tp
+    fp = counts[:, i].sum() - tp
+    tn = counts.sum() - tp - fn - fp
     sens = float(tp / (tp + fn)) if (tp + fn) > 0 else float("nan")
     spec = float(tn / (tn + fp)) if (tn + fp) > 0 else float("nan")
     return sens, spec
@@ -278,18 +262,17 @@ def r_squared(x, y):
 # report documents -----------------------------------------------------------
 
 
-def metrics_report(cm: ConfusionMatrix, split: str = "test",
-                   mcnemar_result: dict = None) -> dict:
-    """The ``metrics.json`` document: OA/AA/kappa, the confusion counts and
-    one-vs-rest rates (nan when undefined), plus ``mcnemar_result`` if given."""
-    oa, aa = oa_aa(cm)
-    rates = [sens_spec(cm, c) for c in range(1, cm.n_class + 1)]
+def metrics_report(counts, split: str = "test", mcnemar_result: dict = None) -> dict:
+    """The ``metrics.json`` document of ``confusion`` counts: OA/AA/kappa, the
+    counts and one-vs-rest rates (nan when undefined), plus ``mcnemar_result`` if given."""
+    oa, aa = oa_aa(counts)
+    rates = [sens_spec(counts, c) for c in range(1, len(counts) + 1)]
     doc = {
         "oa": oa,
         "aa": aa,
-        "kappa": kappa(cm),
-        "confusion": cm.counts.tolist(),
-        "n_evaluated": cm.total,
+        "kappa": kappa(counts),
+        "confusion": counts.tolist(),
+        "n_evaluated": int(counts.sum()),
         "split": split,
         "per_class": [{"class": i + 1, "sensitivity": s, "specificity": p}
                       for i, (s, p) in enumerate(rates)],

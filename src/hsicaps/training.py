@@ -8,8 +8,8 @@ layout of the model's ``theta``; Adam updates ``theta`` in place with
 flat moments, and ``gradcheck`` perturbs single entries of ``theta``
 with a central finite difference. The triangular cap is fitted on the
 initial slice heads of the model it belongs to.
-Checkpoints store ``theta``'s bytes; loading is exact against the spec
-of the stored config or raises.
+Checkpoints store ``theta``'s bytes after a manifest that loading
+rebuilds from its free fields and requires to match, or raises.
 """
 
 import copy
@@ -27,9 +27,6 @@ from .config import MarginLossConfig, RunConfig, config_from_dict, config_to_dic
 from .errors import ConfigError, DataError, NumericError
 
 CHECKPOINT_FORMAT = "hsicaps-checkpoint-v1"
-# Manifest entries that loading and check_cube_compatible read.
-MANIFEST_KEYS = ("config", "n_class", "wavelengths_nm", "slices", "slice_band_indices",
-                 "tri_combos", "params")
 
 # gradcheck compares GRADCHECK_SAMPLES coordinates of theta, drawn with
 # GRADCHECK_SEED, against central differences of step GRADCHECK_H and
@@ -303,11 +300,11 @@ def predict_map(mdl: model_mod.Model, cube: data.HsiCube) -> np.ndarray:
 # checkpoints ------------------------------------------------------------
 
 
-def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
-                    wavelengths) -> None:
-    """Single-file checkpoint: one JSON manifest line, then theta's bytes
-    as little-endian float64."""
-    manifest = {
+def _manifest(mdl: model_mod.Model, config: RunConfig, wavelengths) -> dict:
+    """The checkpoint manifest of ``mdl``. Every entry but the config,
+    ``n_class``, the wavelengths and the triples derives from those four,
+    which is what lets ``load_checkpoint`` rebuild it."""
+    return {
         "format": CHECKPOINT_FORMAT,
         "config": config_to_dict(config),
         "n_class": mdl.n_class,
@@ -322,72 +319,25 @@ def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
                    for n, t in mdl.params.items()],
         "dtype": "f64le",
     }
+
+
+def save_checkpoint(path: str, mdl: model_mod.Model, config: RunConfig,
+                    wavelengths) -> None:
+    """Single-file checkpoint: the ``_manifest`` as one JSON line, then
+    theta's bytes as little-endian float64."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
+        fh.write((json.dumps(_manifest(mdl, config, wavelengths), sort_keys=True) + "\n")
+                 .encode("utf-8"))
         fh.write(mdl.theta.astype("<f8", copy=False).tobytes())
     os.replace(tmp, path)
 
 
-def _manifest_fields(manifest) -> tuple:
-    """(config, slices, n_class, tri_combos) of a checkpoint manifest.
-
-    Raises DataError when an entry that loading or ``check_cube_compatible``
-    reads is missing or malformed, or when the listed slices are not the
-    ``_band_slices`` of its wavelengths and config.
-    """
-    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-        raise DataError("unrecognized checkpoint format")
-    missing = [key for key in MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise DataError(f"checkpoint manifest missing key {missing[0]!r}")
-
-    def malformed(key, want):
-        return DataError(f"malformed checkpoint manifest: {key} must be {want}")
-
-    n_class, wavelengths = manifest["n_class"], manifest["wavelengths_nm"]
-    if not (data.is_int(n_class) and n_class >= 1):
-        raise malformed("n_class", "a positive integer")
-    if not (isinstance(wavelengths, list) and all(map(data.is_number, wavelengths))):
-        raise malformed("wavelengths_nm", "a list of numbers")
-    params = manifest["params"]
-    if not (isinstance(params, list) and all(
-            isinstance(e, dict) and isinstance(e.get("name"), str)
-            and isinstance(e.get("shape"), list) and all(map(data.is_int, e["shape"]))
-            for e in params)):
-        raise malformed("params", "a list of {name, shape} entries")
-    try:
-        config = config_from_dict(manifest["config"])
-    except ConfigError as exc:
-        raise DataError(f"malformed checkpoint manifest: config: {exc}") from exc
-    slices = _band_slices(wavelengths, config)
-    try:  # older files also list the slices that hold no band, with []
-        listed = [[s, ix] for s, ix in zip(manifest["slices"], manifest["slice_band_indices"],
-                                           strict=True) if ix != []]
-    except (TypeError, ValueError):  # not lists, or lists of unequal length
-        listed = None
-    if listed != [[list(s), list(ix)] for s, ix in zip(slices.slices, slices.band_indices)]:
-        raise DataError("checkpoint slices differ from those of its wavelengths and config")
-    tri = manifest["tri_combos"]
-    if tri is None:
-        return config, slices, n_class, None
-    b = len(slices.slices) * n_class
-    try:
-        tri = np.asarray(tri)
-    except ValueError:  # ragged rows
-        tri = None
-    if not (tri is not None and tri.ndim == 2 and tri.shape[0] >= 1 and tri.shape[1] == 3
-            and np.issubdtype(tri.dtype, np.integer)
-            and np.all((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1])
-                       & (tri[:, 1] < tri[:, 2]) & (tri[:, 2] < b))
-            and np.all(np.diff((tri[:, 0] * b + tri[:, 1]) * b + tri[:, 2]) > 0)):
-        raise malformed("tri_combos", f"null or an (S, 3) integer array of distinct "
-                        f"triples 0 <= i < j < h < {b} in lexicographic order")
-    return config, slices, n_class, tri.astype(np.intp)
-
-
 def load_checkpoint(path: str):
-    """Rebuild (model, config, manifest) from a checkpoint file."""
+    """Rebuild (model, config, manifest) from a checkpoint file: check the free
+    fields, then require every other entry to equal the ``_manifest`` of the
+    model they give, minus the [] slices that older files list, and return
+    the stored manifest as read."""
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
@@ -397,21 +347,60 @@ def load_checkpoint(path: str):
         manifest = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed checkpoint manifest: {exc}") from exc
-    config, slices, n_class, tri_combos = _manifest_fields(manifest)
-    spec = model_mod.param_spec(slices, n_class, config,
-                                None if tri_combos is None else len(tri_combos))
-    want = [(name, tuple(shape)) for name, shape, _, _ in spec]
-    got = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-    if got != want:
-        i = next(i for i in range(max(len(got), len(want))) if got[i : i + 1] != want[i : i + 1])
-        raise DataError(
-            f"checkpoint parameters differ from the spec of its config at entry {i}: "
-            f"{got[i : i + 1]} vs {want[i : i + 1]} ({len(got)} vs {len(want)} entries)"
-        )
-    if sum(math.prod(shape) for _, shape in want) * 8 != len(blob):
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+        raise DataError("unrecognized checkpoint format")
+    n_class, wavelengths = manifest.get("n_class"), manifest.get("wavelengths_nm")
+    if not (data.is_int(n_class) and n_class >= 1):
+        raise DataError("malformed checkpoint manifest: n_class must be a positive integer")
+    if not (isinstance(wavelengths, list) and all(map(data.is_number, wavelengths))):
+        raise DataError("malformed checkpoint manifest: wavelengths_nm must be a list of numbers")
+    try:
+        config = config_from_dict(manifest.get("config"))
+    except ConfigError as exc:
+        raise DataError(f"malformed checkpoint manifest: config: {exc}") from exc
+    slices = _band_slices(wavelengths, config)
+    tri = manifest.get("tri_combos")
+    if tri is not None:
+        b = len(slices.slices) * n_class
+        try:
+            tri = np.asarray(tri)
+        except ValueError:  # ragged rows
+            tri = None
+        if not (tri is not None and tri.ndim == 2 and tri.shape[0] >= 1 and tri.shape[1] == 3
+                and np.issubdtype(tri.dtype, np.integer)
+                and np.all((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1])
+                           & (tri[:, 1] < tri[:, 2]) & (tri[:, 2] < b))
+                and np.all(np.diff((tri[:, 0] * b + tri[:, 1]) * b + tri[:, 2]) > 0)):
+            raise DataError(f"malformed checkpoint manifest: tri_combos must be null or an (S, 3) "
+                            f"integer array of distinct triples 0 <= i < j < h < {b} in "
+                            f"lexicographic order")
+        tri = tri.astype(np.intp)
+    spec = model_mod.param_spec(slices, n_class, config, None if tri is None else len(tri))
+    theta = np.zeros(sum(math.prod(shape) for _, shape, _, _ in spec))
+    mdl = model_mod.Model.tracked(theta, spec, config, slices, n_class, tri)
+
+    stored, rebuilt = dict(manifest), _manifest(mdl, config, wavelengths)
+    try:  # older files also list the slices that hold no band, with []
+        listed = zip(stored["slices"], stored["slice_band_indices"], strict=True)
+        stored["slices"], stored["slice_band_indices"] = map(
+            list, zip(*[pair for pair in listed if pair[1] != []]))
+    except (KeyError, TypeError, ValueError):  # missing, not lists, or unequal lengths
+        pass
+    for key in sorted((stored.keys() | rebuilt.keys()) - {"config"}):
+        if key not in stored or key not in rebuilt:
+            raise DataError(f"checkpoint manifest {'missing' if key in rebuilt else 'unknown'} "
+                            f"key {key!r}")
+        got, want = stored[key], rebuilt[key]
+        if isinstance(got, list) and isinstance(want, list) and got != want:
+            i = next(i for i in range(max(len(got), len(want)))
+                     if got[i : i + 1] != want[i : i + 1])
+            key, got, want = f"{key}[{i}]", got[i : i + 1], want[i : i + 1]
+        if got != want:
+            raise DataError(f"checkpoint manifest {key} is {got!r} where its config, n_class, "
+                            f"wavelengths and triples give {want!r}")
+    if theta.size * 8 != len(blob):
         raise DataError("checkpoint blob size mismatch")
-    theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    mdl = model_mod.Model.tracked(theta, spec, config, slices, n_class, tri_combos)
+    theta[...] = np.frombuffer(blob, dtype="<f8")
     model_mod.check_finite(mdl)
     return mdl, config, manifest
 

@@ -194,9 +194,10 @@ def test_default_config_round_trips_and_float_fields_take_ints(tmp_path):
     assert cfg.stage1.triangular_cap == 7
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert cli.main([]) == 1
     assert cli.main(["train"]) == 1
+    assert "error: the following arguments are required: --config" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 1
 
 
@@ -367,6 +368,10 @@ MALFORMED_MANIFESTS = {
     "parameter entry not an object": lambda m: {**m, "params": ["x"] + m["params"][1:]},
     "config not an object": lambda m: {**m, "config": []},
     "manifest not an object": lambda m: [m],
+    "dtype not f64le": lambda m: {**m, "dtype": "f32le"},
+    "patch_size not the config's": lambda m: {**m, "patch_size": m["patch_size"] + 2},
+    "f_n not the registry's": lambda m: {**m, "f_n": m["f_n"] + 1},
+    "an entry the loader does not write": lambda m: {**m, "note": "extra"},
 }
 
 
@@ -796,7 +801,9 @@ def test_evaluate_rejects_malformed_split(workspace, tmp_path, capsys, content):
     (None, "split file not found"),
     ('{"seed": 1, "train_fraction": 0.5, "train": [[0, 0], [1, 1]], "test": [[1, 1]]}',
      "train/test overlap on 1 pixels"),
-], ids=["missing", "overlap"])
+    ('{"seed": 1, "train_fraction": 0.5, "train": [[0, 0]], "test": []}',
+     "empty confusion matrix"),
+], ids=["missing", "overlap", "empty-test"])
 def test_evaluate_rejects_a_split_it_cannot_use(workspace, tmp_path, capsys, content, message):
     split_path = tmp_path / "split.json"
     if content is not None:
